@@ -4,7 +4,6 @@ expression datasets."""
 __version__ = "0.1.0"
 
 from .data import (  # noqa: F401
-    AnnotatedRecord,
     AuCellKey,
     CsvSchema,
     Dataset,

@@ -10,13 +10,12 @@ in the tests.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .data import AuCellKey, Dataset, au_sort_key
+from .data import AuCellKey, CellKeys, Dataset, au_sort_key, strata
 from .errors import (
     DimensionMismatch,
     EmptyTrainSplit,
@@ -75,19 +74,13 @@ def mine_triplets(
     """All (anchor, positive, negative) index triples where anchor and
     positive share an AU key and the negative differs; anchors whose valid
     count exceeds cap keep a uniform subsample of size cap."""
-    keys = list(batch_au_keys)
-    n = len(keys)
-    by_key: dict[AuCellKey, list[int]] = defaultdict(list)
-    for i, k in enumerate(keys):
-        by_key[k].append(i)
-    all_idx = np.arange(n)
+    codes = CellKeys.of(batch_au_keys).codes
     gen = rng.generator()  # anchors are visited in a fixed order
     triples: list[np.ndarray] = []
-    for key in sorted(by_key):
-        members = np.array(by_key[key])
+    for code, members in strata(codes):
         if members.size < 2:
             continue
-        negatives = all_idx[~np.isin(all_idx, members)]
+        negatives = np.flatnonzero(codes != code)
         if negatives.size == 0:
             continue
         for anchor in members.tolist():
@@ -100,11 +93,7 @@ def mine_triplets(
                 flat = gen.choice(count, size=cap, replace=False)
                 pj = positives[flat // negatives.size]
                 nk = negatives[flat % negatives.size]
-            block = np.empty((pj.size, 3), dtype=np.int64)
-            block[:, 0] = anchor
-            block[:, 1] = pj
-            block[:, 2] = nk
-            triples.append(block)
+            triples.append(np.column_stack((np.full(pj.size, anchor), pj, nk)))
     if not triples:
         return TripletSet(np.zeros((0, 3), dtype=np.int64))
     return TripletSet(np.concatenate(triples, axis=0))
@@ -170,7 +159,7 @@ def cross_entropy(
 class Batch:
     features: np.ndarray
     labels: np.ndarray
-    au_keys: list[AuCellKey]
+    au_keys: Sequence[AuCellKey]  # a CellKeys or a list of AuCellKey
 
 
 @dataclass
@@ -255,21 +244,17 @@ def stratified_order(keys: Sequence[AuCellKey], rng: Rng) -> np.ndarray:
     """AU-key-stratified shuffle: shuffle within each key, then interleave
     the keys round-robin so every batch sees multiple keys whenever the
     data has them."""
-    by_key: dict[AuCellKey, list[int]] = defaultdict(list)
-    for i, k in enumerate(keys):
-        by_key[k].append(i)
-    pools = []
-    for key in sorted(by_key):
-        idx = np.array(by_key[key])
-        gen = rng.child(f"key-{key.describe()}").generator()
+    keys = CellKeys.of(keys)
+    pools = [np.zeros(0, dtype=np.int64)]
+    rounds = [np.zeros(0, dtype=np.int64)]
+    for code, idx in strata(keys.codes):
+        gen = rng.child(f"key-{keys.key(code).describe()}").generator()
         gen.shuffle(idx)
-        pools.append(list(idx))
-    order = []
-    while pools:
-        for pool in pools:
-            order.append(pool.pop())
-        pools = [p for p in pools if p]
-    return np.array(order, dtype=np.int64)
+        # each round takes one row from every pool, from the pool's end
+        pools.append(idx[::-1])
+        rounds.append(np.arange(idx.size))
+    order = np.concatenate(pools)
+    return order[np.argsort(np.concatenate(rounds), kind="stable")]
 
 
 @dataclass
@@ -307,11 +292,7 @@ def train(
         n_batches = 0
         for start in range(0, len(order), config.batch_size):
             idx = order[start:start + config.batch_size]
-            batch = Batch(
-                features=x[idx],
-                labels=y[idx],
-                au_keys=[keys[i] for i in idx],
-            )
+            batch = Batch(features=x[idx], labels=y[idx], au_keys=keys[idx])
             breakdown, grads = total_loss(
                 params, batch, config,
                 rng.child(f"mine-{epoch}-{n_batches}"),

@@ -5,31 +5,20 @@ group membership given AU intensities, and plot-ready bias curves.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import AuCellKey, Dataset, au_sort_key
-from .errors import (
-    NotBinarized,
-    Separation,
-    SingularDesign,
-)
+from .data import Dataset, au_sort_key
+from .errors import Separation, SingularDesign
 from .stats import (
     InsufficientData,
     chi_square_independence,
+    sigmoid,
     table_from_counts,
 )
-
-_SIGMOID_CAP = 35.0
-
-
-def _sigmoid(eta: np.ndarray) -> np.ndarray:
-    eta = np.clip(eta, -_SIGMOID_CAP, _SIGMOID_CAP)
-    return 1.0 / (1.0 + np.exp(-eta))
 
 
 @dataclass(frozen=True)
@@ -45,7 +34,7 @@ class LogisticFit:
     term_names: tuple[str, ...] = ()
 
     def predict(self, design: np.ndarray) -> np.ndarray:
-        return _sigmoid(np.asarray(design, dtype=float) @ self.beta)
+        return sigmoid(np.asarray(design, dtype=float) @ self.beta)
 
 
 def _log_likelihood(eta: np.ndarray, y: np.ndarray) -> float:
@@ -84,7 +73,7 @@ def logistic_fit(
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        mu = _sigmoid(eta)
+        mu = sigmoid(eta)
         w = mu * (1.0 - mu)
         grad = X.T @ (y - mu)
         info = (X * w[:, None]).T @ X
@@ -107,11 +96,11 @@ def logistic_fit(
         if np.max(np.abs(step * delta)) < tol:
             converged = True
             break
-        mu = _sigmoid(eta)
+        mu = sigmoid(eta)
         if np.max(np.minimum(mu, 1.0 - mu)) < 1e-10:
             raise Separation("fitted probabilities pinned to {0, 1}")
 
-    mu = _sigmoid(eta)
+    mu = sigmoid(eta)
     if np.max(np.minimum(mu, 1.0 - mu)) < 1e-8 and not converged:
         raise Separation("fitted probabilities pinned to {0, 1}")
     w = mu * (1.0 - mu)
@@ -168,26 +157,15 @@ def _cell_masks(
     dataset: Dataset, conditioning: Sequence[str], mode: str
 ) -> list[tuple[str, np.ndarray]]:
     aus = sorted(conditioning, key=au_sort_key)
-    if not dataset.is_binarized(aus):
-        raise NotBinarized(f"dataset not binarized for {aus}")
-    presence = {
-        au: np.array([r.au_presence[au] for r in dataset.records]) for au in aus
-    }
-    cells = []
+    keys = dataset.cell_keys(aus)
     if mode == "joint":
-        for bits in itertools.product((0, 1), repeat=len(aus)):
-            key = AuCellKey(tuple(zip(aus, bits)))
-            mask = np.ones(len(dataset), dtype=bool)
-            for au, b in zip(aus, bits):
-                mask &= presence[au] == b
-            cells.append((key.describe(), mask))
-    elif mode == "marginal":
-        for au in aus:
-            for b in (0, 1):
-                cells.append((f"{au}={b}", presence[au] == b))
-    else:
-        raise ValueError(f"unknown conditioning mode {mode!r}")
-    return cells
+        return [(keys.key(code).describe(), keys.codes == code)
+                for code in range(2 ** len(aus))]
+    if mode == "marginal":
+        # a one-AU cell code is that AU's presence bit
+        return [(f"{au}={b}", dataset.cell_keys([au]).codes == b)
+                for au in aus for b in (0, 1)]
+    raise ValueError(f"unknown conditioning mode {mode!r}")
 
 
 def group_design(
@@ -202,9 +180,9 @@ def group_design(
     for au in aus:
         cols.append(dataset.intensities(au))
         names.append(au)
-    grp = np.array(dataset.group_values(group_attr))
-    for lvl in levels[1:]:
-        cols.append((grp == lvl).astype(float))
+    codes = dataset.group_codes(group_attr)
+    for code, lvl in enumerate(levels[1:], start=1):
+        cols.append((codes == code).astype(float))
         names.append(f"{group_attr}={lvl}")
     return np.stack(cols, axis=1), tuple(names)
 
@@ -296,19 +274,15 @@ def conditional_bias_report(
     Delta convention: second declared group level minus first.
     """
     levels = dataset.attribute_levels[group_attr]
-    grp = np.array(dataset.group_values(group_attr))
+    codes = dataset.group_codes(group_attr)
     y = (dataset.labels() == target_label).astype(int)
     cells = []
     for condition, mask in _cell_masks(dataset, conditioning, mode):
-        positives = {}
-        totals = {}
-        for lvl in levels:
-            sel = mask & (grp == lvl)
-            totals[lvl] = int(sel.sum())
-            positives[lvl] = int(y[sel].sum())
+        totals = np.bincount(codes[mask], minlength=len(levels)).tolist()
+        positives = np.bincount(codes[mask & (y == 1)], minlength=len(levels)).tolist()
         cells.append(
-            _build_cell(condition, levels, positives, totals,
-                        min_expected, small_level_policy)
+            _build_cell(condition, levels, dict(zip(levels, positives)),
+                        dict(zip(levels, totals)), min_expected, small_level_policy)
         )
     cells.sort(key=lambda c: c.condition)
 
@@ -389,13 +363,13 @@ def bias_curves(
         return []
     aus = sorted(au_intensity_ids, key=au_sort_key)
     y = (dataset.labels() == target_label).astype(int)
-    grp = np.array(dataset.group_values(group_attr))
+    codes = dataset.group_codes(group_attr)
     means = {au: float(dataset.intensities(au).mean()) for au in aus}
     intensity = {au: dataset.intensities(au) for au in aus}
 
     curves = []
-    for lvl in dataset.attribute_levels[group_attr]:
-        mask = grp == lvl
+    for code, lvl in enumerate(dataset.attribute_levels[group_attr]):
+        mask = codes == code
         X = np.stack(
             [np.ones(int(mask.sum()))] + [intensity[au][mask] for au in aus],
             axis=1,

@@ -15,6 +15,7 @@ import numpy as np
 
 from .data import AU_MAX, AU_MIN
 from .errors import EmptyInput, LengthMismatch
+from .metrics import best_threshold, f1_score
 from .stats import two_proportion_test
 
 
@@ -60,28 +61,7 @@ def calibrate_global(
         raise LengthMismatch(f"{x.size} intensities vs {y.size} truths")
     if x.size == 0:
         raise EmptyInput("no samples")
-
-    order = np.argsort(x, kind="stable")
-    xs, ys = x[order], y[order]
-    n = xs.size
-    n_pos = int(ys.sum())
-    # pos_le[i] = positives with intensity <= xs[i-1]
-    pos_cum = np.concatenate([[0], np.cumsum(ys)])
-    grid = _candidate_grid(x)
-    # for threshold t: correct = (# y==0 with x <= t) + (# y==1 with x > t)
-    below = np.searchsorted(xs, grid, side="right")
-    pos_below = pos_cum[below]
-    correct = (below - pos_below) + (n_pos - pos_below)
-    best = int(np.argmax(correct))  # argmax returns the first (smallest t)
-    return float(grid[best]), float(correct[best]) / n
-
-
-def _f1(pred: np.ndarray, truth: np.ndarray) -> float:
-    tp = int(np.sum((pred == 1) & (truth == 1)))
-    fp = int(np.sum((pred == 1) & (truth == 0)))
-    fn = int(np.sum((pred == 0) & (truth == 1)))
-    denom = 2 * tp + fp + fn
-    return 2 * tp / denom if denom else 0.0
+    return best_threshold(x, y, _candidate_grid(x))
 
 
 def accuracy_parity_check(
@@ -96,23 +76,28 @@ def accuracy_parity_check(
     grp = np.asarray(groups)
     if not (pred.size == truth.size == grp.size):
         raise LengthMismatch("predicted/truth/groups lengths differ")
-    levels = sorted(set(grp.tolist()))
     acc, f1, correct, totals = {}, {}, {}, {}
-    for lvl in levels:
+    for lvl in sorted(set(grp.tolist())):
         mask = grp == lvl
         correct[lvl] = int(np.sum(pred[mask] == truth[mask]))
         totals[lvl] = int(mask.sum())
         acc[lvl] = correct[lvl] / totals[lvl]
-        f1[lvl] = _f1(pred[mask], truth[mask])
-    pairwise = {}
-    for i, a in enumerate(levels):
-        for b in levels[i + 1:]:
-            pairwise[(a, b)] = two_proportion_test(
-                correct[a], totals[a], correct[b], totals[b]
-            )
-    p = min(pairwise.values()) if pairwise else 1.0
+        f1[lvl] = f1_score(pred[mask], truth[mask])
+    pairwise = _pairwise_p(correct, totals)
     return ParityCheck(per_group_accuracy=acc, per_group_f1=f1,
-                       p_value=p, pairwise_p=pairwise)
+                       p_value=min(pairwise.values(), default=1.0),
+                       pairwise_p=pairwise)
+
+
+def _pairwise_p(correct: Mapping[str, int], totals: Mapping[str, int]) -> dict:
+    """Two-proportion z-test p-value of the accuracy counts for every
+    pair of the levels in correct, in their order."""
+    levels = list(correct)
+    return {
+        (a, b): two_proportion_test(correct[a], totals[a], correct[b], totals[b])
+        for i, a in enumerate(levels)
+        for b in levels[i + 1:]
+    }
 
 
 def calibrate_per_group(
@@ -152,17 +137,9 @@ def calibrate_per_group(
         pred = (xl > thr).astype(int)
         thresholds[lvl] = thr
         accs[lvl] = acc
-        f1s[lvl] = _f1(pred, yl)
+        f1s[lvl] = f1_score(pred, yl)
         correct[lvl] = int(np.sum(pred == yl))
-
-    def pairwise_min_p(cor: dict) -> float:
-        valid = [lvl for lvl in levels if lvl in cor and lvl not in degenerate]
-        ps = [
-            two_proportion_test(cor[a], totals[a], cor[b], totals[b])
-            for i, a in enumerate(valid)
-            for b in valid[i + 1:]
-        ]
-        return min(ps) if ps else 1.0
+    raw_correct = {lvl: raw_correct[lvl] for lvl in levels if lvl not in degenerate}
 
     return CalibrationResult(
         au_id=au_id,
@@ -171,10 +148,8 @@ def calibrate_per_group(
         per_group_thresholds=thresholds,
         per_group_accuracy=accs,
         per_group_f1=f1s,
-        parity_p_value=pairwise_min_p(correct),
+        parity_p_value=min(_pairwise_p(correct, totals).values(), default=1.0),
         per_group_accuracy_raw=raw_accs,
-        raw_parity_p_value=pairwise_min_p(
-            {lvl: raw_correct[lvl] for lvl in levels if lvl not in degenerate}
-        ),
+        raw_parity_p_value=min(_pairwise_p(raw_correct, totals).values(), default=1.0),
         degenerate_levels=tuple(degenerate),
     )

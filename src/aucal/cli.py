@@ -213,7 +213,7 @@ def _cmd_train(args) -> int:
     thresholds = _parse_thresholds(args.thresholds) if args.thresholds else {}
     dataset, _ = _load_binarized(args.data, args.label, args.condition, thresholds)
     config = TrainConfig(
-        lam=args.lam,
+        lam=0.0 if args.baseline else args.lam,
         margin=args.margin,
         learning_rate=args.lr,
         batch_size=args.batch,
@@ -360,11 +360,9 @@ def _cmd_demo(args) -> int:
         summaries.append(summarize_runs(name, [ev]))
     (out / "summary.csv").write_text(summaries_csv(summaries), encoding="utf-8")
 
-    sig_before = sum(
-        1 for c in before.cells if c.status == "tested" and c.p_value < 0.05
-    )
-    sig_after = sum(
-        1 for c in after.cells if c.status == "tested" and c.p_value < 0.05
+    sig_before, sig_after = (
+        sum(c.status == "tested" and c.p_value < 0.05 for c in report.cells)
+        for report in (before, after)
     )
     print(f"significant cells before relabel: {sig_before}, after: {sig_after}")
     for s in summaries:
@@ -467,13 +465,7 @@ def run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
-    except IoError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (IoError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
     except AucalError as exc:

@@ -1,17 +1,20 @@
-"""Data model and tabular I/O: annotated records, datasets, CSV load/save,
-and AU binarization.
+"""Data model and tabular I/O: columnar datasets, CSV load/save, AU
+binarization, and the one stratification helper.
 
-Datasets are immutable after construction; every transform returns a new
-Dataset sharing unchanged records.
+A Dataset holds read-only, row-aligned columns: ids, AU intensities,
+presence bits, labels, integer group codes, features and the test-split
+mask. Every transform returns a new Dataset over new or indexed columns;
+`Dataset.records` is a per-row view built on demand.
 """
 
 from __future__ import annotations
 
 import csv
 import re
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -30,6 +33,7 @@ FEATURE_COLUMN_RE = re.compile(r"^f(\d+)$")
 PRESENCE_SUFFIX = "_presence"
 KNOWN_GROUP_COLUMNS = ("gender", "age_group", "race")
 AU_MIN, AU_MAX = 0.0, 5.0
+_SAVE_CHUNK = 8192  # rows formatted per csv.writerows call
 
 
 def au_sort_key(au_id: str) -> tuple[int, str]:
@@ -58,6 +62,63 @@ class AuCellKey:
         return self.describe()
 
 
+@dataclass(frozen=True, eq=False)
+class CellKeys(Sequence):
+    """The AU cell of each row as one integer code.
+
+    au_ids are in AuCellKey order (sorted as strings) and the first is the
+    most significant bit, so codes sort the way AuCellKey and its
+    describe() strings do. Indexing with an int gives that row's AuCellKey;
+    indexing with a slice or an index array gives a CellKeys."""
+
+    au_ids: tuple[str, ...]
+    codes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return self.key(self.codes[index])
+        return CellKeys(self.au_ids, self.codes[index])
+
+    def key(self, code: int) -> AuCellKey:
+        k = len(self.au_ids)
+        return AuCellKey(tuple(
+            (au, (int(code) >> (k - 1 - j)) & 1) for j, au in enumerate(self.au_ids)
+        ))
+
+    @classmethod
+    def of(cls, keys: Sequence[AuCellKey]) -> "CellKeys":
+        """keys as a CellKeys; a plain list must share one set of AUs."""
+        if isinstance(keys, CellKeys):
+            return keys
+        items = [key.items for key in keys]
+        au_ids = tuple(au for au, _ in items[0]) if items else ()
+        if any(tuple(au for au, _ in it) != au_ids for it in items):
+            raise ValueError("cell keys condition on different AUs")
+        bits = np.array([[b for _, b in it] for it in items], dtype=np.int64)
+        return cls(au_ids, _pack(bits.reshape(len(items), len(au_ids))))
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Row codes of an (n, k) 0/1 matrix, first column most significant."""
+    return bits.astype(np.int64) @ (1 << np.arange(bits.shape[1], dtype=np.int64)[::-1])
+
+
+def strata(codes) -> list[tuple[int, np.ndarray]]:
+    """Group row indices by code: (code, indices) pairs in ascending code
+    order, each stratum's indices ascending (a stable argsort plus split)."""
+    codes = np.asarray(codes)
+    if codes.size == 0:
+        return []
+    order = np.argsort(codes, kind="stable")
+    ranked = codes[order]
+    cuts = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
+    firsts = ranked[np.concatenate(([0], cuts))].tolist()
+    return list(zip(firsts, np.split(order, cuts)))
+
+
 @dataclass(frozen=True)
 class AnnotatedRecord:
     """One face: AU intensities, label, protected attributes, and the
@@ -72,68 +133,120 @@ class AnnotatedRecord:
     split: str = "train"
 
 
-@dataclass(frozen=True)
+def _read_only(array) -> np.ndarray:
+    view = np.asarray(array).view()
+    view.flags.writeable = False
+    return view
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    records: tuple[AnnotatedRecord, ...]
-    attribute_levels: Mapping[str, tuple[str, ...]]
+    """Row-aligned, read-only columns.
+
+    intensity and presence are (n, k) in au_ids order; presence bits are
+    meaningful only for the AUs in `binarized`. codes[attr] indexes
+    attribute_levels[attr], whose levels are sorted. features is (n, d)."""
+
     au_ids: tuple[str, ...]
-    feature_dim: int = 0
+    attribute_levels: Mapping[str, tuple[str, ...]]
+    ids: np.ndarray
+    intensity: np.ndarray
+    presence: np.ndarray
+    binarized: frozenset[str]
+    label: np.ndarray
+    codes: Mapping[str, np.ndarray]
+    features: np.ndarray
+    is_test: np.ndarray
+
+    def __post_init__(self):
+        for name in ("ids", "intensity", "presence", "label", "features", "is_test"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+        object.__setattr__(self, "codes", {a: _read_only(c) for a, c in self.codes.items()})
+
+    @property
+    def feature_dim(self) -> int:
+        return self.features.shape[1]
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
     def __iter__(self) -> Iterator[AnnotatedRecord]:
         return iter(self.records)
 
+    @property
+    def records(self) -> tuple[AnnotatedRecord, ...]:
+        """The rows as AnnotatedRecords, built on each access."""
+        aus = [a for a in self.au_ids if a in self.binarized]
+        presence = self.presence[:, [self.au_ids.index(a) for a in aus]].tolist()
+        groups = {a: self.group_values(a).tolist() for a in self.attribute_levels}
+        return tuple(
+            AnnotatedRecord(
+                id=record_id,
+                au_intensities=dict(zip(self.au_ids, self.intensity[i].tolist())),
+                label=int(self.label[i]),
+                group={a: values[i] for a, values in groups.items()},
+                au_presence=dict(zip(aus, presence[i])) if aus else None,
+                features=self.features[i] if self.feature_dim else None,
+                split="test" if self.is_test[i] else "train",
+            )
+            for i, record_id in enumerate(self.ids.tolist())
+        )
+
     def labels(self) -> np.ndarray:
-        return np.array([r.label for r in self.records], dtype=np.int64)
+        return self.label
 
     def feature_matrix(self) -> np.ndarray:
-        if self.feature_dim == 0:
-            return np.zeros((len(self.records), 0))
-        return np.stack([np.asarray(r.features, dtype=float) for r in self.records])
+        return self.features
 
-    def group_values(self, attr: str) -> list[str]:
+    def group_codes(self, attr: str) -> np.ndarray:
         if attr not in self.attribute_levels:
             raise UnknownGroupLevel(attr)
-        return [r.group[attr] for r in self.records]
+        return self.codes[attr]
+
+    def group_values(self, attr: str) -> np.ndarray:
+        codes = self.group_codes(attr)
+        return np.asarray(self.attribute_levels[attr])[codes]
 
     def intensities(self, au_id: str) -> np.ndarray:
         if au_id not in self.au_ids:
             raise UnknownAu(au_id)
-        return np.array([r.au_intensities[au_id] for r in self.records])
+        return self.intensity[:, self.au_ids.index(au_id)]
 
     def is_binarized(self, au_ids: Sequence[str]) -> bool:
-        return all(
-            r.au_presence is not None and all(a in r.au_presence for a in au_ids)
-            for r in self.records
-        )
+        return self.binarized.issuperset(au_ids)
 
-    def cell_keys(self, au_ids: Sequence[str]) -> list[AuCellKey]:
+    def cell_keys(self, au_ids: Sequence[str]) -> CellKeys:
         if not self.is_binarized(au_ids):
             raise NotBinarized(f"dataset not binarized for {list(au_ids)}")
-        aus = sorted(au_ids, key=au_sort_key)
-        return [
-            AuCellKey(tuple((a, int(r.au_presence[a])) for a in aus))
-            for r in self.records
-        ]
+        aus = sorted(au_ids)
+        cols = [self.au_ids.index(a) for a in aus]
+        return CellKeys(tuple(aus), _pack(self.presence[:, cols]))
 
     def subset(self, indices: Iterable[int]) -> "Dataset":
-        recs = tuple(self.records[i] for i in indices)
-        return replace(self, records=recs)
+        if not isinstance(indices, (np.ndarray, Sequence)):
+            indices = list(indices)
+        return self._rows(np.asarray(indices, dtype=np.int64))
 
     def split_part(self, part: str) -> "Dataset":
-        return replace(
-            self, records=tuple(r for r in self.records if r.split == part)
-        )
+        masks = {"test": self.is_test, "train": ~self.is_test}
+        return self._rows(masks.get(part, np.zeros(len(self), dtype=bool)))
 
     def with_labels(self, new_labels: Sequence[int]) -> "Dataset":
-        if len(new_labels) != len(self.records):
+        if len(new_labels) != len(self):
             raise ValueError("label vector length mismatch")
-        recs = tuple(
-            replace(r, label=int(y)) for r, y in zip(self.records, new_labels)
+        return replace(self, label=np.asarray(new_labels, dtype=np.int64))
+
+    def _rows(self, index: np.ndarray) -> "Dataset":
+        return replace(
+            self,
+            ids=self.ids[index],
+            intensity=self.intensity[index],
+            presence=self.presence[index],
+            label=self.label[index],
+            codes={a: c[index] for a, c in self.codes.items()},
+            features=self.features[index],
+            is_test=self.is_test[index],
         )
-        return replace(self, records=recs)
 
 
 @dataclass(frozen=True)
@@ -156,10 +269,11 @@ class LoadResult:
 
 
 def load_dataset(path: str | Path, schema: CsvSchema | None = None) -> LoadResult:
-    """Load and validate a dataset CSV.
+    """Load and validate a dataset CSV, column by column.
 
-    Rows with any missing AU intensity are dropped and counted; out-of-range
-    intensities raise ParseError to surface schema mismatches.
+    Rows with any missing AU intensity are dropped and counted before their
+    other fields are checked; rows with too few fields, out-of-range
+    intensities and non-finite features raise ParseError.
     """
     schema = schema or CsvSchema()
     path = Path(path)
@@ -189,15 +303,12 @@ def load_dataset(path: str | Path, schema: CsvSchema | None = None) -> LoadResul
         (c for c in header if AU_COLUMN_RE.match(c)), key=au_sort_key
     )
     presence_cols = {
-        c[: -len(PRESENCE_SUFFIX)]: c
-        for c in header
-        if c.endswith(PRESENCE_SUFFIX) and AU_COLUMN_RE.match(c[: -len(PRESENCE_SUFFIX)])
+        au: f"{au}{PRESENCE_SUFFIX}" for au in au_cols
+        if f"{au}{PRESENCE_SUFFIX}" in col_idx
     }
-    feat_indices = {}
-    for c in header:
-        m = FEATURE_COLUMN_RE.match(c)
-        if m:
-            feat_indices[int(m.group(1))] = c
+    feat_indices = {
+        int(m.group(1)): c for c in header if (m := FEATURE_COLUMN_RE.match(c))
+    }
     feature_dim = len(feat_indices)
     if feature_dim and sorted(feat_indices) != list(range(feature_dim)):
         raise InconsistentFeatureDim(
@@ -205,91 +316,92 @@ def load_dataset(path: str | Path, schema: CsvSchema | None = None) -> LoadResul
         )
     feat_cols = [feat_indices[i] for i in range(feature_dim)]
 
-    recognized = {schema.id_col, schema.label_col, schema.split_col}
-    recognized.update(group_cols)
-    recognized.update(au_cols)
-    recognized.update(presence_cols.values())
-    recognized.update(feat_cols)
+    recognized = {schema.id_col, schema.label_col, schema.split_col, *group_cols,
+                  *au_cols, *presence_cols.values(), *feat_cols}
     ignored = [c for c in header if c not in recognized]
 
-    records: list[AnnotatedRecord] = []
-    dropped = 0
-    for rownum, row in enumerate(rows, start=2):
-        # missing AU intensity -> drop (mirrors AU-detector failures)
-        au_vals = {}
-        missing_au = False
-        for au in au_cols:
-            raw = row[col_idx[au]].strip()
-            if raw == "":
-                missing_au = True
-                break
-            try:
-                v = float(raw)
-            except ValueError:
-                raise ParseError(rownum, au, "not a number")
-            if not (AU_MIN <= v <= AU_MAX):
-                raise ParseError(rownum, au, f"intensity {v} outside [0, 5]")
-            au_vals[au] = v
-        if missing_au:
-            dropped += 1
-            continue
+    widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    short = widths < len(header)
+    if short.any():
+        i = int(short.argmax())
+        raise ParseError(i + 2, header[widths[i]],
+                         f"row has {widths[i]} fields, header has {len(header)}")
+    columns = list(zip(*rows)) if rows else [()] * len(header)
+    del rows
 
-        presence = None
-        if presence_cols:
-            presence = {}
-            for au, col in presence_cols.items():
-                raw = row[col_idx[col]].strip()
-                if raw not in ("0", "1"):
-                    raise ParseError(rownum, col, "presence must be 0/1")
-                presence[au] = int(raw)
-
-        raw_label = row[col_idx[schema.label_col]].strip()
-        try:
-            label = int(raw_label)
-        except ValueError:
-            raise ParseError(rownum, schema.label_col, "not an integer")
-
-        group = {g: row[col_idx[g]].strip() for g in group_cols}
-
-        features = None
-        if feature_dim:
-            try:
-                features = np.array(
-                    [float(row[col_idx[c]]) for c in feat_cols], dtype=float
-                )
-            except ValueError:
-                raise ParseError(rownum, "f*", "feature not a number")
-
-        split = "train"
-        if schema.split_col in col_idx:
-            split = row[col_idx[schema.split_col]].strip() or "train"
-            if split not in ("train", "test"):
-                raise ParseError(rownum, schema.split_col, "split must be train/test")
-
-        records.append(
-            AnnotatedRecord(
-                id=row[col_idx[schema.id_col]].strip(),
-                au_intensities=au_vals,
-                label=label,
-                group=group,
-                au_presence=presence,
-                features=features,
-                split=split,
-            )
-        )
-
-    if not records:
+    # missing AU intensity -> drop (mirrors AU-detector failures)
+    keep = np.ones(len(widths), dtype=bool)
+    for au in au_cols:
+        keep &= np.array(list(map(str.strip, columns[col_idx[au]]))) != ""
+    if not keep.any():
         raise EmptyDataset(f"{path}: no usable rows")
+    rownums = np.flatnonzero(keep) + 2
+    kept = keep.tolist()
 
-    levels = {
-        g: tuple(sorted({r.group[g] for r in records})) for g in group_cols
-    }
+    def cells(name: str) -> list[str]:
+        return list(map(str.strip, compress(columns[col_idx[name]], kept)))
+
+    def reject(bad: np.ndarray, column: str, message: str | Callable[[int], str]):
+        """ParseError at the first flagged row; message may take its index."""
+        if bad.any():
+            i = int(bad.argmax())
+            raise ParseError(int(rownums[i]), column,
+                             message(i) if callable(message) else message)
+
+    def parse(name: str, convert: Callable, dtype, column: str, message: str):
+        values = cells(name)
+        try:
+            return np.fromiter(map(convert, values), dtype=dtype, count=len(values))
+        except (ValueError, OverflowError):  # OverflowError: beyond int64
+            for rownum, value in zip(rownums.tolist(), values):
+                try:
+                    np.array(convert(value), dtype=dtype)
+                except (ValueError, OverflowError):
+                    raise ParseError(rownum, column, message) from None
+            raise
+
+    intensity = np.empty((len(rownums), len(au_cols)))
+    for j, au in enumerate(au_cols):
+        v = intensity[:, j] = parse(au, float, float, au, "not a number")
+        reject(~((v >= AU_MIN) & (v <= AU_MAX)), au,
+               lambda i: f"intensity {float(v[i])} outside [0, 5]")
+
+    presence = np.zeros(intensity.shape, dtype=np.uint8)
+    for au, col in presence_cols.items():
+        raw = np.array(cells(col))
+        reject((raw != "0") & (raw != "1"), col, "presence must be 0/1")
+        presence[:, au_cols.index(au)] = raw == "1"
+
+    label = parse(schema.label_col, int, np.int64, schema.label_col, "not an integer")
+
+    levels, codes = {}, {}
+    for g in group_cols:
+        values, codes[g] = np.unique(np.array(cells(g)), return_inverse=True)
+        levels[g] = tuple(values.tolist())
+
+    features = np.empty((len(rownums), feature_dim))
+    for j, c in enumerate(feat_cols):
+        features[:, j] = parse(c, float, float, "f*", "feature not a number")
+        reject(~np.isfinite(features[:, j]), c, "feature not finite")
+
+    split = np.array(cells(schema.split_col) if schema.split_col in col_idx
+                     else [""] * len(rownums))
+    reject((split != "") & (split != "train") & (split != "test"),
+           schema.split_col, "split must be train/test")
+
     dataset = Dataset(
-        records=tuple(records),
-        attribute_levels=levels,
         au_ids=tuple(au_cols),
-        feature_dim=feature_dim,
+        attribute_levels=levels,
+        ids=np.array(cells(schema.id_col), dtype=str),
+        intensity=intensity,
+        presence=presence,
+        binarized=frozenset(presence_cols),
+        label=label,
+        codes=codes,
+        features=features,
+        is_test=split == "test",
     )
+    dropped = len(widths) - len(rownums)
     return LoadResult(dataset=dataset, dropped_rows=dropped, ignored_columns=ignored)
 
 
@@ -302,31 +414,34 @@ def save_dataset(
     """Write a Dataset back to the CSV schema load_dataset reads
     (round-trip safe, including presence columns when binarized)."""
     group_cols = list(dataset.attribute_levels)
-    has_presence = all(r.au_presence is not None for r in dataset.records)
+    binarized = [j for j, au in enumerate(dataset.au_ids) if au in dataset.binarized]
     header = ["id"] + list(dataset.au_ids)
-    if has_presence:
-        header += [f"{au}{PRESENCE_SUFFIX}" for au in dataset.au_ids]
+    header += [f"{dataset.au_ids[j]}{PRESENCE_SUFFIX}" for j in binarized]
     header += [label_col] + group_cols + ["split"]
     header += [f"f{i}" for i in range(dataset.feature_dim)]
     extra = dict(extra_columns or {})
     header += list(extra)
+    for col, values in extra.items():
+        if len(values) < len(dataset):
+            raise ValueError(f"extra column {col!r} has {len(values)} values")
+
+    def reprs(columns: np.ndarray) -> list[list[str]]:
+        # repr of a Python float or int, as the CSV has always held
+        return [list(map(repr, col)) for col in columns.T.tolist()]
 
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for i, r in enumerate(dataset.records):
-            row = [r.id]
-            row += [repr(float(r.au_intensities[au])) for au in dataset.au_ids]
-            if has_presence:
-                row += [str(int(r.au_presence[au])) for au in dataset.au_ids]
-            row.append(str(r.label))
-            row += [r.group[g] for g in group_cols]
-            row.append(r.split)
-            if dataset.feature_dim:
-                row += [repr(float(v)) for v in r.features]
-            for col in extra:
-                row.append(str(extra[col][i]))
-            w.writerow(row)
+        for lo in range(0, len(dataset), _SAVE_CHUNK):
+            rows = slice(lo, lo + _SAVE_CHUNK)
+            part = dataset._rows(rows)
+            columns = [part.ids.tolist(), *reprs(part.intensity),
+                       *reprs(part.presence[:, binarized]), *reprs(part.label[:, None])]
+            columns += [part.group_values(g).tolist() for g in group_cols]
+            columns.append(np.where(part.is_test, "test", "train").tolist())
+            columns += reprs(part.features)
+            columns += [list(map(str, values[rows])) for values in extra.values()]
+            w.writerows(zip(*columns))
 
 
 def binarize(
@@ -342,11 +457,11 @@ def binarize(
         if au not in dataset.au_ids:
             raise UnknownAu(au)
     per_group = dict(per_group or {})
+    aus_with_overrides = {au for au, _ in per_group}
     if per_group:
         if group_attr is None:
             group_attr = next(iter(dataset.attribute_levels))
-        levels = set(dataset.attribute_levels[group_attr])
-        aus_with_overrides = {au for au, _ in per_group}
+        levels = dataset.attribute_levels[group_attr]
         for au, level in per_group:
             if au not in dataset.au_ids:
                 raise UnknownAu(au)
@@ -354,33 +469,46 @@ def binarize(
                 raise UnknownGroupLevel(level)
         for au in aus_with_overrides:
             covered = {lvl for a, lvl in per_group if a == au}
-            if covered != levels:
+            if covered != set(levels):
                 raise UnknownGroupLevel(
-                    f"per-group thresholds for {au} do not cover {sorted(levels - covered)}"
+                    f"per-group thresholds for {au} do not cover {sorted(set(levels) - covered)}"
                 )
 
-    new_records = []
-    for r in dataset.records:
-        presence = dict(r.au_presence or {})
-        for au, t in thresholds.items():
-            eff = t
-            if per_group and (au, r.group[group_attr]) in per_group:
-                eff = per_group[(au, r.group[group_attr])]
-            presence[au] = 1 if r.au_intensities[au] > eff else 0
-        new_records.append(replace(r, au_presence=presence))
-    return replace(dataset, records=tuple(new_records))
+    presence = dataset.presence.copy()
+    for au, t in thresholds.items():
+        j = dataset.au_ids.index(au)
+        eff = t
+        if au in aus_with_overrides:
+            # per-group thresholds, looked up by level code
+            by_level = np.array([per_group[(au, lvl)] for lvl in levels])
+            eff = by_level[dataset.codes[group_attr]]
+        presence[:, j] = dataset.intensity[:, j] > eff
+    return replace(dataset, presence=presence,
+                   binarized=dataset.binarized | set(thresholds))
 
 
 def make_dataset(records: Sequence[AnnotatedRecord], au_ids: Sequence[str],
                  feature_dim: int = 0) -> Dataset:
-    """Construct a Dataset, inferring attribute levels from the records."""
+    """Construct a Dataset from records, inferring attribute levels."""
     if not records:
         raise EmptyDataset("no records")
-    attrs = sorted(records[0].group)
-    levels = {a: tuple(sorted({r.group[a] for r in records})) for a in attrs}
+    aus = tuple(sorted(au_ids, key=au_sort_key))
+    levels = {a: tuple(sorted({r.group[a] for r in records})) for a in sorted(records[0].group)}
+    binarized = [a for a in aus if all(a in (r.au_presence or {}) for r in records)]
+    shape = (len(records), len(aus))
     return Dataset(
-        records=tuple(records),
+        au_ids=aus,
         attribute_levels=levels,
-        au_ids=tuple(sorted(au_ids, key=au_sort_key)),
-        feature_dim=feature_dim,
+        ids=np.array([r.id for r in records], dtype=str),
+        intensity=np.array([[r.au_intensities[a] for a in aus] for r in records],
+                           dtype=float).reshape(shape),
+        presence=np.array([[r.au_presence[a] if a in binarized else 0 for a in aus]
+                           for r in records], dtype=np.uint8).reshape(shape),
+        binarized=frozenset(binarized),
+        label=np.array([r.label for r in records], dtype=np.int64),
+        codes={a: np.array([lv.index(r.group[a]) for r in records], dtype=np.int64)
+               for a, lv in levels.items()},
+        features=np.array([r.features for r in records], dtype=float) if feature_dim
+        else np.zeros((len(records), 0)),
+        is_test=np.array([r.split == "test" for r in records]),
     )

@@ -55,12 +55,6 @@ class EmptyInput(AucalError):
     pass
 
 
-class DegenerateGroup(AucalError):
-    def __init__(self, level: str):
-        super().__init__(f"group level {level!r} lacks both truth classes")
-        self.level = level
-
-
 class InsufficientData(AucalError):
     pass
 

@@ -3,13 +3,12 @@ decision threshold, and the Calders-Verwer discrimination score."""
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, au_sort_key
+from .data import Dataset, au_sort_key, strata
 from .errors import (
     InfeasibleBalance,
     Misaligned,
@@ -65,21 +64,31 @@ def select_threshold(
         raise Misaligned("scores/labels length mismatch")
     if y.min(initial=1) == y.max(initial=0):
         raise SingleClass("need both classes to select a threshold")
-    order = np.argsort(s, kind="stable")
-    ss, ys = s[order], y[order]
-    distinct = np.unique(ss)
+    distinct = np.unique(s)
     mids = (distinct[:-1] + distinct[1:]) / 2.0
     grid = np.concatenate([[distinct[0] - 0.5], mids, [distinct[-1] + 0.5]])
+    return best_threshold(s, y, grid)
+
+
+def best_threshold(
+    values: np.ndarray, labels: np.ndarray, grid: np.ndarray
+) -> tuple[float, float]:
+    """The threshold t in grid that maximizes the accuracy of
+    1[value > t], the smallest on ties, and that accuracy."""
+    order = np.argsort(values, kind="stable")
+    xs, ys = values[order], labels[order]
+    # pos_cum[i] = positives among the i smallest values
     pos_cum = np.concatenate([[0], np.cumsum(ys)])
     n_pos = int(ys.sum())
-    below = np.searchsorted(ss, grid, side="right")
+    # correct = (# y==0 with value <= t) + (# y==1 with value > t)
+    below = np.searchsorted(xs, grid, side="right")
     pos_below = pos_cum[below]
     correct = (below - pos_below) + (n_pos - pos_below)
-    best = int(np.argmax(correct))
-    return float(grid[best]), float(correct[best]) / s.size
+    best = int(np.argmax(correct))  # argmax returns the first (smallest t)
+    return float(grid[best]), float(correct[best]) / values.size
 
 
-def _f1(pred: np.ndarray, truth: np.ndarray) -> float:
+def f1_score(pred: np.ndarray, truth: np.ndarray) -> float:
     tp = int(np.sum((pred == 1) & (truth == 1)))
     fp = int(np.sum((pred == 1) & (truth == 0)))
     fn = int(np.sum((pred == 0) & (truth == 1)))
@@ -118,59 +127,51 @@ def build_fair_test_set(
     pruned = dataset.subset(kept_idx.tolist())
 
     y = (pruned.labels() == target_label).astype(int)
-    grp = np.asarray(pruned.group_values(group_attr))
+    codes = pruned.group_codes(group_attr)
+    levels = pruned.attribute_levels[group_attr]
+    present = np.unique(codes)  # the levels left after pruning
     rng = Rng(seed, ("fair_test",))
 
     if mode == "balance_positive_rate":
-        levels = sorted(set(grp.tolist()))
         rates = {}
-        for lvl in levels:
-            mask = grp == lvl
+        for code in present:
+            mask = codes == code
             if y[mask].sum() == 0:
-                raise InfeasibleBalance(f"group {lvl!r} has no positives")
-            rates[lvl] = float(y[mask].mean())
+                raise InfeasibleBalance(f"group {levels[code]!r} has no positives")
+            rates[code] = float(y[mask].mean())
         target_rate = min(rates.values())
-        kept: list[int] = []
-        for lvl in levels:
-            mask = grp == lvl
-            pos_idx = np.where(mask & (y == 1))[0]
-            neg_idx = np.where(mask & (y == 0))[0]
-            n = int(mask.sum())
-            if rates[lvl] <= target_rate:
-                kept.extend(np.where(mask)[0].tolist())
+        keep = np.ones(len(pruned), dtype=bool)
+        for code in present:
+            if rates[code] <= target_rate:
                 continue
+            mask = codes == code
+            pos_idx = np.flatnonzero(mask & (y == 1))
             # remove k positives so (pos - k)/(n - k) == target_rate
-            k = (pos_idx.size - target_rate * n) / (1.0 - target_rate)
+            k = (pos_idx.size - target_rate * int(mask.sum())) / (1.0 - target_rate)
             k = int(round(k))
             k = min(max(k, 0), pos_idx.size)
-            gen = rng.child(f"rate-{lvl}").generator()
-            drop = set(gen.choice(pos_idx, size=k, replace=False).tolist())
-            kept.extend(i for i in np.where(mask)[0].tolist() if i not in drop)
-        kept.sort()
-        return pruned.subset(kept)
+            gen = rng.child(f"rate-{levels[code]}").generator()
+            keep[gen.choice(pos_idx, size=k, replace=False)] = False
+        return pruned.subset(np.flatnonzero(keep))
 
     if mode == "balance_cell_counts":
         if not conditioning:
             raise ValueError("balance_cell_counts requires conditioning AUs")
         keys = pruned.cell_keys(sorted(conditioning, key=au_sort_key))
-        strata: dict[str, dict[str, list[int]]] = defaultdict(lambda: defaultdict(list))
-        for i, key in enumerate(keys):
-            strata[key.describe()][grp[i]].append(i)
-        kept = []
-        levels = sorted(set(grp.tolist()))
-        for condition in sorted(strata):
-            groups = strata[condition]
-            if any(lvl not in groups for lvl in levels):
+        kept = [np.zeros(0, dtype=np.int64)]
+        for cell, rows in strata(keys.codes):
+            groups = strata(codes[rows])
+            if len(groups) < present.size:
                 continue
-            floor = min(len(groups[lvl]) for lvl in levels)
-            for lvl in levels:
-                idx = np.array(groups[lvl])
+            condition = keys.key(cell).describe()
+            floor = min(sub.size for _, sub in groups)
+            for code, sub in groups:
+                idx = rows[sub]
                 if idx.size > floor:
-                    gen = rng.child(f"cell-{condition}-{lvl}").generator()
+                    gen = rng.child(f"cell-{condition}-{levels[code]}").generator()
                     idx = gen.choice(idx, size=floor, replace=False)
-                kept.extend(sorted(idx.tolist()))
-        kept.sort()
-        return pruned.subset(kept)
+                kept.append(idx)
+        return pruned.subset(np.sort(np.concatenate(kept)))
 
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -188,18 +189,18 @@ def evaluate(
     if s.size != len(test_dataset):
         raise Misaligned(f"{s.size} scores for {len(test_dataset)} records")
     y = (test_dataset.labels() == target_label).astype(int)
-    grp = np.asarray(test_dataset.group_values(group_attr))
+    codes = test_dataset.group_codes(group_attr)
+    levels = test_dataset.attribute_levels[group_attr]
     threshold, accuracy = select_threshold(s, y)
     pred = (s > threshold).astype(int)
-    rates = {
-        lvl: float(pred[grp == lvl].mean())
-        for lvl in sorted(set(grp.tolist()))
-    }
-    signed, absolute = cv_discrimination(pred, grp, positive_group)
+    rates = {levels[code]: float(pred[codes == code].mean()) for code in np.unique(codes)}
+    signed, absolute = cv_discrimination(
+        pred, test_dataset.group_values(group_attr), positive_group
+    )
     return EvalResult(
         threshold=threshold,
         accuracy=accuracy,
-        f1=_f1(pred, y),
+        f1=f1_score(pred, y),
         per_group_positive_rate=rates,
         disc_signed=signed,
         disc_abs=absolute,

@@ -8,14 +8,13 @@ sampled labels; the balanced subsampler draws a fixed count per
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, au_sort_key
-from .errors import InvalidCount, NotBinarized
+from .data import Dataset, au_sort_key, strata
+from .errors import InvalidCount
 from .rng import Rng
 
 
@@ -36,10 +35,6 @@ class FlipLog:
         return len(self.entries)
 
 
-def _round_half_even(x: float) -> int:
-    return int(np.rint(x))
-
-
 def relabel_to_parity(
     dataset: Dataset,
     conditioning: Sequence[str],
@@ -54,35 +49,25 @@ def relabel_to_parity(
     flipped negative; groups below get the mirror-image flips. Flip targets
     are sampled uniformly within the eligible stratum.
     """
-    aus = sorted(conditioning, key=au_sort_key)
-    if not dataset.is_binarized(aus):
-        raise NotBinarized(f"dataset not binarized for {aus}")
-    if len(dataset.attribute_levels[group_attr]) < 2:
+    keys = dataset.cell_keys(sorted(conditioning, key=au_sort_key))
+    levels = dataset.attribute_levels[group_attr]
+    if len(levels) < 2:
         raise ValueError("need at least two group levels")
-
-    keys = dataset.cell_keys(aus)
-    grp = dataset.group_values(group_attr)
+    codes = dataset.group_codes(group_attr)
     y = (dataset.labels() == target_label).astype(int)
-
-    strata: dict[str, dict[str, list[int]]] = defaultdict(lambda: defaultdict(list))
-    for i, key in enumerate(keys):
-        strata[key.describe()][grp[i]].append(i)
 
     rng = Rng(seed, ("relabel",))
     log = FlipLog()
     new_y = y.copy()
-    for condition in sorted(strata):
-        groups = strata[condition]
-        n_total = sum(len(v) for v in groups.values())
-        pos_total = sum(int(y[v].sum()) for v in (np.array(ix) for ix in groups.values()))
-        if n_total == 0:
-            continue
-        p_star = pos_total / n_total
-        for level in sorted(groups):
-            idx = np.array(groups[level])
+    for cell, rows in strata(keys.codes):
+        condition = keys.key(cell).describe()
+        p_star = int(y[rows].sum()) / rows.size
+        for code, sub in strata(codes[rows]):
+            level = levels[code]
+            idx = rows[sub]
             n_g = idx.size
             p_g = float(y[idx].mean())
-            n_flip = _round_half_even(n_g * (p_g - p_star))
+            n_flip = int(np.rint(n_g * (p_g - p_star)))  # half to even
             if n_flip == 0:
                 continue
             if n_flip > 0:
@@ -101,25 +86,19 @@ def relabel_to_parity(
                 )
                 want = eligible.size
             gen = rng.child(f"{condition}/{level}").generator()
-            chosen = gen.choice(eligible, size=want, replace=False)
-            for i in sorted(chosen.tolist()):
-                new_y[i] = new_value
-                log.entries.append(
-                    FlipEntry(
-                        record_id=dataset.records[i].id,
-                        condition=condition,
-                        group=level,
-                        direction=direction,
-                    )
-                )
+            chosen = np.sort(gen.choice(eligible, size=want, replace=False))
+            new_y[chosen] = new_value
+            log.entries.extend(
+                FlipEntry(record_id=record_id, condition=condition,
+                          group=level, direction=direction)
+                for record_id in dataset.ids[chosen].tolist()
+            )
 
     # map the binary target back onto the stored labels (binary datasets)
     other = 0 if target_label != 0 else 1
-    new_labels = [
-        r.label if t == (r.label == target_label)
-        else (target_label if t else other)
-        for r, t in zip(dataset.records, new_y)
-    ]
+    labels = dataset.labels()
+    new_labels = np.where(new_y == y, labels,
+                          np.where(new_y == 1, target_label, other))
     return dataset.with_labels(new_labels), log
 
 
@@ -141,27 +120,24 @@ def balanced_subsample(
     logged as warnings."""
     if per_cell_count < 1:
         raise InvalidCount(f"per_cell_count must be >= 1, got {per_cell_count}")
-    aus = sorted(conditioning, key=au_sort_key)
-    keys = dataset.cell_keys(aus)
-    grp = dataset.group_values(group_attr)
-    strata: dict[tuple[str, str], list[int]] = defaultdict(list)
-    for i, key in enumerate(keys):
-        strata[(key.describe(), grp[i])].append(i)
+    keys = dataset.cell_keys(sorted(conditioning, key=au_sort_key))
+    codes = dataset.group_codes(group_attr)
+    levels = dataset.attribute_levels[group_attr]
 
     rng = Rng(seed, ("balanced_subsample",))
-    kept: list[int] = []
+    kept = [np.zeros(0, dtype=np.int64)]
     shortfalls: list[str] = []
-    for stratum in sorted(strata):
-        idx = np.array(strata[stratum])
+    # one stratum per (cell, level), cells outermost
+    for code, idx in strata(keys.codes * len(levels) + codes):
+        stratum = f"{keys.key(code // len(levels)).describe()}/{levels[code % len(levels)]}"
         if idx.size <= per_cell_count:
             if idx.size < per_cell_count:
                 shortfalls.append(
-                    f"{stratum[0]}/{stratum[1]}: only {idx.size} of "
-                    f"{per_cell_count} available"
+                    f"{stratum}: only {idx.size} of {per_cell_count} available"
                 )
-            kept.extend(idx.tolist())
         else:
-            gen = rng.child(f"{stratum[0]}/{stratum[1]}").generator()
-            kept.extend(sorted(gen.choice(idx, size=per_cell_count, replace=False).tolist()))
-    kept.sort()
-    return SubsampleResult(dataset=dataset.subset(kept), shortfalls=shortfalls)
+            gen = rng.child(stratum).generator()
+            idx = gen.choice(idx, size=per_cell_count, replace=False)
+        kept.append(idx)
+    return SubsampleResult(dataset=dataset.subset(np.sort(np.concatenate(kept))),
+                           shortfalls=shortfalls)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import io
+import json
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -35,8 +36,6 @@ def _encode(obj, out: list[str]) -> None:
     elif isinstance(obj, (float, np.floating)):
         out.append(_format_float(float(obj)))
     elif isinstance(obj, str):
-        import json
-
         out.append(json.dumps(obj))
     elif isinstance(obj, np.ndarray):
         _encode(obj.tolist(), out)
@@ -49,8 +48,6 @@ def _encode(obj, out: list[str]) -> None:
             if not first:
                 out.append(",")
             first = False
-            import json
-
             out.append(json.dumps(key))
             out.append(":")
             _encode(value, out)

@@ -135,6 +135,11 @@ def normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
+def sigmoid(eta: np.ndarray) -> np.ndarray:
+    """Logistic function, with eta clipped to [-35, 35] against overflow."""
+    return 1.0 / (1.0 + np.exp(-np.clip(eta, -35.0, 35.0)))
+
+
 @dataclass(frozen=True)
 class ContingencyTable:
     """Counts of label values (columns) per group level (rows) within one

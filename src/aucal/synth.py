@@ -17,15 +17,10 @@ from typing import Mapping
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .data import (
-    AnnotatedRecord,
-    AuCellKey,
-    Dataset,
-    au_sort_key,
-)
+from .data import AuCellKey, Dataset, au_sort_key
 from .errors import InvalidConfig
 from .rng import Rng
-from .stats import normal_cdf
+from .stats import normal_cdf, sigmoid
 
 AU_LO, AU_HI = 0.0, 5.0
 
@@ -100,10 +95,6 @@ class SynthConfig:
         return sorted(self.au_models, key=au_sort_key)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -35, 35)))
-
-
 def _truncnorm_draw(gen: np.random.Generator, mean, std, size) -> np.ndarray:
     """Inverse-CDF sampling of a normal truncated to [0, 5]."""
     a = ndtr((AU_LO - mean) / std)
@@ -128,20 +119,10 @@ def generate(config: SynthConfig) -> SynthResult:
     levels = sorted(config.group_probs)
     aus = config.au_ids()
 
-    if n == 0:
-        dataset = Dataset(
-            records=(),
-            attribute_levels={config.group_attr: tuple(levels)},
-            au_ids=tuple(aus),
-            feature_dim=config.feature_dim,
-        )
-        return SynthResult(dataset=dataset, fair_labels=np.zeros(0, dtype=int))
-
     probs = np.array([config.group_probs[z] for z in levels])
     u = rng.child("group").generator().random(n)
     group_idx = np.searchsorted(np.cumsum(probs), u, side="right")
     group_idx = np.clip(group_idx, 0, len(levels) - 1)
-    group = np.array(levels)[group_idx]
 
     p_latent = np.array(
         [config.composition_shift.get(z, config.latent_positive_prob) for z in levels]
@@ -161,10 +142,10 @@ def generate(config: SynthConfig) -> SynthResult:
     for au, w in config.annotator_weights.items():
         eta += w * intensities[au]
     shift = np.array([config.group_bias.get(z, 0.0) for z in levels])[group_idx]
-    label = (rng.child("label").generator().random(n) < _sigmoid(eta + shift)).astype(int)
-    fair = (rng.child("fair_label").generator().random(n) < _sigmoid(eta)).astype(int)
+    label = (rng.child("label").generator().random(n) < sigmoid(eta + shift)).astype(int)
+    fair = (rng.child("fair_label").generator().random(n) < sigmoid(eta)).astype(int)
 
-    features = None
+    features = np.zeros((n, 0))
     if config.feature_dim:
         gen = rng.child("features").generator()
         noise = gen.normal(0.0, config.feature_noise_std, (n, config.feature_dim))
@@ -172,34 +153,25 @@ def generate(config: SynthConfig) -> SynthResult:
         for j, au in enumerate(aus):
             features[:, j] += intensities[au]
         # leak dims carry the group signal a naive model can exploit
-        ref = levels[0]
-        leak = (group != ref).astype(float)
+        leak = (group_idx != 0).astype(float)
         for j in range(config.group_leak_dims):
             features[:, len(aus) + j] += leak
 
-    split = np.full(n, "train", dtype=object)
+    is_test = np.zeros(n, dtype=bool)
     if config.test_fraction > 0:
         is_test = rng.child("split").generator().random(n) < config.test_fraction
-        split[is_test] = "test"
 
-    records = []
-    intensity_cols = np.stack([intensities[au] for au in aus], axis=1)
-    for i in range(n):
-        records.append(
-            AnnotatedRecord(
-                id=f"s{i}",
-                au_intensities=dict(zip(aus, intensity_cols[i].tolist())),
-                label=int(label[i]),
-                group={config.group_attr: str(group[i])},
-                features=features[i] if features is not None else None,
-                split=str(split[i]),
-            )
-        )
     dataset = Dataset(
-        records=tuple(records),
-        attribute_levels={config.group_attr: tuple(levels)},
         au_ids=tuple(aus),
-        feature_dim=config.feature_dim,
+        attribute_levels={config.group_attr: tuple(levels)},
+        ids=np.char.add("s", np.arange(n).astype(str)),
+        intensity=np.stack([intensities[au] for au in aus], axis=1),
+        presence=np.zeros((n, len(aus)), dtype=np.uint8),
+        binarized=frozenset(),
+        label=label.astype(np.int64),
+        codes={config.group_attr: group_idx},
+        features=features,
+        is_test=is_test,
     )
     return SynthResult(dataset=dataset, fair_labels=fair)
 
@@ -207,11 +179,10 @@ def generate(config: SynthConfig) -> SynthResult:
 def with_fair_test_labels(result: SynthResult) -> Dataset:
     """Swap the test split's labels for the fair (bias-free) column: the
     synthetic analogue of evaluating on a lab-controlled test set."""
-    labels = result.dataset.labels().copy()
-    for i, r in enumerate(result.dataset.records):
-        if r.split == "test":
-            labels[i] = result.fair_labels[i]
-    return result.dataset.with_labels(labels)
+    dataset = result.dataset
+    return dataset.with_labels(
+        np.where(dataset.is_test, result.fair_labels, dataset.labels())
+    )
 
 
 def _region(config: SynthConfig, au: str, bit: int) -> tuple[float, float]:
@@ -279,7 +250,7 @@ def expected_cell_proportions(
                 shape[dim] = nodes
                 eta = eta + config.annotator_weights.get(au, 0.0) * x.reshape(shape)
                 weight = weight * w.reshape(shape)
-            exp_sigma = float((weight * _sigmoid(eta)).sum())
+            exp_sigma = float((weight * sigmoid(eta)).sum())
             cell_weight = prior * region_prob
             weighted_sum += cell_weight * exp_sigma
             weight_total += cell_weight

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aucal.cli import run
 from aucal.data import (
     AuCellKey,
     CsvSchema,
@@ -155,3 +156,73 @@ def test_feature_columns(tmp_path):
     ds = load_dataset(p).dataset
     assert ds.feature_dim == 2
     np.testing.assert_allclose(ds.feature_matrix(), [[0.5, 1.5], [2.5, 3.5]])
+
+
+def test_load_short_row_raises_parse_error_naming_row(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text(CSV4.replace("c,3.2,3.1,1,M", "c,3.2,3.1,1"))
+    with pytest.raises(ParseError) as info:
+        load_dataset(p, CsvSchema(label_col="happy"))
+    assert (info.value.row, info.value.column) == (4, "gender")
+
+
+def test_audit_short_row_exits_1(tmp_path, capsys):
+    p = tmp_path / "d.csv"
+    p.write_text(CSV4.replace("c,3.2,3.1,1,M", "c,3.2"))
+    code = run(["audit", "--data", str(p), "--label", "happy",
+                "--condition", "AU6,AU12", "--thresholds", "AU6=1.5,AU12=1.5",
+                "--out", str(tmp_path / "rep.json")])
+    assert code == 1
+    assert "row 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_non_finite_feature_raises_parse_error(tmp_path, value):
+    p = tmp_path / "d.csv"
+    p.write_text(
+        "id,AU6,AU12,label,gender,f0,f1\n"
+        f"a,1,1,0,F,0.5,1.5\nb,2,2,1,M,2.5,{value}\n"
+    )
+    with pytest.raises(ParseError) as info:
+        load_dataset(p)
+    assert (info.value.row, info.value.column) == (3, "f1")
+
+
+def test_load_drops_missing_au_before_checking_other_fields(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text(
+        "id,AU6,AU12,label,gender,split,f0\n"
+        "a,1,1,0,F,train,0.5\n"
+        "b,,7,x,M,neither,nan\n"
+        "c,2,2,1,M,test,1.5\n"
+    )
+    result = load_dataset(p)
+    assert result.dropped_rows == 1
+    assert [r.id for r in result.dataset] == ["a", "c"]
+
+
+@pytest.mark.parametrize("old, new, row, column", [
+    ("b,0.5,0.4", "b,abc,0.4", 3, "AU6"),
+    ("d,0.3,0.6", "d,0.3,5.5", 5, "AU12"),
+    ("c,3.2,3.1,1,M", "c,3.2,3.1,1.0,M", 4, "happy"),
+    ("c,3.2,3.1,1,M", "c,3.2,3.1,99999999999999999999,M", 4, "happy"),
+])
+def test_load_bad_cell_names_row_and_column(tmp_path, old, new, row, column):
+    p = tmp_path / "d.csv"
+    p.write_text(CSV4.replace(old, new))
+    with pytest.raises(ParseError) as info:
+        load_dataset(p, CsvSchema(label_col="happy"))
+    assert (info.value.row, info.value.column) == (row, column)
+
+
+@pytest.mark.parametrize("cells, row, column", [
+    ("a,1,1,0,F,2,train,0.5", 2, "AU6_presence"),
+    ("a,1,1,0,F,0,valid,0.5", 2, "split"),
+    ("a,1,1,0,F,0,train,x", 2, "f*"),
+])
+def test_load_bad_presence_split_feature(tmp_path, cells, row, column):
+    p = tmp_path / "d.csv"
+    p.write_text(f"id,AU6,AU12,label,gender,AU6_presence,split,f0\n{cells}\n")
+    with pytest.raises(ParseError) as info:
+        load_dataset(p)
+    assert (info.value.row, info.value.column) == (row, column)
