@@ -33,7 +33,7 @@ FEATURE_COLUMN_RE = re.compile(r"^f(\d+)$")
 PRESENCE_SUFFIX = "_presence"
 KNOWN_GROUP_COLUMNS = ("gender", "age_group", "race")
 AU_MIN, AU_MAX = 0.0, 5.0
-_SAVE_CHUNK = 8192  # rows formatted per csv.writerows call
+_SAVE_CHUNK = 8192  # rows formatted at a time, so save holds few cell strings
 
 
 def au_sort_key(au_id: str) -> tuple[int, str]:
@@ -236,7 +236,7 @@ class Dataset:
             raise ValueError("label vector length mismatch")
         return replace(self, label=np.asarray(new_labels, dtype=np.int64))
 
-    def _rows(self, index: np.ndarray) -> "Dataset":
+    def _rows(self, index: np.ndarray | slice) -> "Dataset":
         return replace(
             self,
             ids=self.ids[index],
