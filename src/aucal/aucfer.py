@@ -18,6 +18,7 @@ import numpy as np
 from .data import AuCellKey, CellKeys, Dataset, au_sort_key, strata
 from .errors import (
     DimensionMismatch,
+    Diverged,
     EmptyTrainSplit,
     IndexOutOfRange,
     InvalidLabel,
@@ -58,6 +59,10 @@ class TrainConfig:
             raise ValueError("rates, epochs, d_emb must be positive")
         if self.lam < 0 or self.margin < 0:
             raise ValueError("lambda and margin must be >= 0")
+        if self.max_triplets_per_anchor < 1 or self.triplet_reduction not in (
+                "sum", "mean"):
+            raise ValueError("max_triplets_per_anchor must be >= 1 and "
+                             "triplet_reduction 'sum' or 'mean'")
 
 
 @dataclass
@@ -73,30 +78,26 @@ def mine_triplets(
 ) -> TripletSet:
     """All (anchor, positive, negative) index triples where anchor and
     positive share an AU key and the negative differs; anchors whose valid
-    count exceeds cap keep a uniform subsample of size cap."""
+    count exceeds cap keep a uniform subsample of size cap. Triples are
+    anchor-major (keys in strata order, anchors in row order), pairs are
+    numbered positive-major with the anchor skipped, and each capped anchor
+    takes one choice(count, cap, replace=False) draw, in that order."""
     codes = CellKeys.of(batch_au_keys).codes
     gen = rng.generator()  # anchors are visited in a fixed order
-    triples: list[np.ndarray] = []
+    blocks = [np.zeros((0, 3), dtype=np.int64)]
     for code, members in strata(codes):
-        if members.size < 2:
-            continue
         negatives = np.flatnonzero(codes != code)
-        if negatives.size == 0:
+        m, n_neg = members.size, negatives.size
+        count = (m - 1) * n_neg
+        if count == 0:
             continue
-        for anchor in members.tolist():
-            positives = members[members != anchor]
-            count = positives.size * negatives.size
-            if count <= cap:
-                pj, nk = np.meshgrid(positives, negatives, indexing="ij")
-                pj, nk = pj.ravel(), nk.ravel()
-            else:
-                flat = gen.choice(count, size=cap, replace=False)
-                pj = positives[flat // negatives.size]
-                nk = negatives[flat % negatives.size]
-            triples.append(np.column_stack((np.full(pj.size, anchor), pj, nk)))
-    if not triples:
-        return TripletSet(np.zeros((0, 3), dtype=np.int64))
-    return TripletSet(np.concatenate(triples, axis=0))
+        flat = (np.broadcast_to(np.arange(count), (m, count)) if count <= cap else
+                np.array([gen.choice(count, cap, replace=False) for _ in range(m)]))
+        q = flat // n_neg  # skip the anchor: positives at or past its rank shift
+        trio = (np.broadcast_to(members[:, None], flat.shape),
+                members[q + (q >= np.arange(m)[:, None])], negatives[flat % n_neg])
+        blocks.append(np.stack(trio, axis=-1).reshape(-1, 3))
+    return TripletSet(np.concatenate(blocks))
 
 
 def triplet_loss(
@@ -107,33 +108,35 @@ def triplet_loss(
 ) -> tuple[float, np.ndarray]:
     """Hinge on squared-distance gaps, summed over mined triples (or
     averaged with reduction='mean'); returns the loss and its gradient
-    with respect to the embeddings."""
+    with respect to the embeddings. Distances come from one batch-level
+    matrix; each gradient entry sums the active triples' anchor, then
+    positive, then negative terms, each in triple order."""
     emb = np.asarray(embeddings, dtype=float)
-    grad = np.zeros_like(emb)
     t = triplets.triples
     if t.size == 0:
-        return 0.0, grad
+        return 0.0, np.zeros_like(emb)
     if t.min() < 0 or t.max() >= emb.shape[0]:
         raise IndexOutOfRange("triplet index outside the batch")
-    a, p, nn = emb[t[:, 0]], emb[t[:, 1]], emb[t[:, 2]]
-    d_ap = ((a - p) ** 2).sum(axis=1)
-    d_an = ((a - nn) ** 2).sum(axis=1)
-    hinge = d_ap - d_an + margin
+    dist = np.empty((len(emb), len(emb)))
+    rows = max(1, (1 << 20) // max(emb.size, 1))  # temporaries stay <= 8 MB
+    for lo in range(0, len(emb), rows):
+        dist[lo:lo + rows] = ((emb[lo:lo + rows, None] - emb[None]) ** 2).sum(axis=2)
+    hinge = dist[t[:, 0], t[:, 1]] - dist[t[:, 0], t[:, 2]] + margin
     active = hinge > 0
     loss = float(hinge[active].sum())
     scale = 1.0
     if reduction == "mean":
         scale = 1.0 / len(t)
         loss *= scale
-    if active.any():
-        ta = t[active]
-        ga = 2.0 * (emb[ta[:, 2]] - emb[ta[:, 1]]) * scale
-        gp = -2.0 * (emb[ta[:, 0]] - emb[ta[:, 1]]) * scale
-        gn = 2.0 * (emb[ta[:, 0]] - emb[ta[:, 2]]) * scale
-        np.add.at(grad, ta[:, 0], ga)
-        np.add.at(grad, ta[:, 1], gp)
-        np.add.at(grad, ta[:, 2], gn)
-    return loss, grad
+    a, p, n = t[active].T
+    ea, ep, en = emb[a], emb[p], emb[n]
+    # ep - ea is exactly -(ea - ep), and the sums start at +0.0, so a zero's
+    # sign cannot reach the result
+    terms = 2.0 * np.concatenate((en - ep, ep - ea, ea - en)) * scale
+    cols = np.arange(emb.shape[1])
+    slots = np.concatenate((a, p, n))[:, None] * cols.size + cols
+    grad = np.bincount(slots.ravel(), terms.ravel(), minlength=emb.size)
+    return loss, grad.reshape(emb.shape)
 
 
 def cross_entropy(
@@ -197,9 +200,7 @@ def total_loss(
     n_triplets = 0
     d_emb_trp = np.zeros_like(emb)
     if config.lam > 0:
-        triplets = mine_triplets(
-            batch.au_keys, config.max_triplets_per_anchor, rng
-        )
+        triplets = mine_triplets(batch.au_keys, config.max_triplets_per_anchor, rng)
         n_triplets = len(triplets)
         trp, d_emb_trp = triplet_loss(
             emb, triplets, config.margin, config.triplet_reduction
@@ -264,7 +265,7 @@ class TrainResult:
     triplet_count_trace: list[int] = field(default_factory=list)
 
 
-def _prepare(dataset: Dataset, conditioning: Sequence[str]):
+def _prepare(dataset: Dataset, config: TrainConfig, conditioning: Sequence[str]):
     train = dataset.split_part("train")
     if len(train) == 0:
         raise EmptyTrainSplit("no records with split == 'train'")
@@ -273,18 +274,27 @@ def _prepare(dataset: Dataset, conditioning: Sequence[str]):
     x = train.feature_matrix()
     y = train.labels()
     keys = train.cell_keys(sorted(conditioning, key=au_sort_key))
-    n_classes = max(2, int(y.max()) + 1)
-    return x, y, keys, n_classes
+    rng = Rng(config.seed, ("train",))
+    params = init_params(x.shape[1], config.d_emb, max(2, int(y.max()) + 1), rng)
+    return x, y, keys, rng, TrainResult(params=params)
+
+
+def _record_epoch(result: TrainResult, epoch: int, mean: LossBreakdown) -> None:
+    p = result.params
+    if not all(np.isfinite(v).all() for v in (mean.total, p.W1, p.b1, p.W2, p.b2)):
+        raise Diverged(f"training diverged in epoch {epoch + 1}: loss {mean.total}"
+                       f" or parameters not finite; lower the learning rate")
+    result.loss_trace.append(mean)
+    result.triplet_count_trace.append(mean.n_triplets)
 
 
 def train(
     dataset: Dataset, config: TrainConfig, conditioning: Sequence[str]
 ) -> TrainResult:
-    """Deterministic minibatch SGD on the combined objective."""
-    x, y, keys, n_classes = _prepare(dataset, conditioning)
-    rng = Rng(config.seed, ("train",))
-    params = init_params(x.shape[1], config.d_emb, n_classes, rng)
-    result = TrainResult(params=params)
+    """Deterministic minibatch SGD on the combined objective; Diverged
+    once an epoch's loss or the parameters are not finite."""
+    x, y, keys, rng, result = _prepare(dataset, config, conditioning)
+    params = result.params
     for epoch in range(config.epochs):
         order = stratified_order(keys, rng.child(f"shuffle-{epoch}"))
         ce_sum = trp_sum = tot_sum = 0.0
@@ -307,16 +317,9 @@ def train(
             tot_sum += breakdown.total
             trp_count += breakdown.n_triplets
             n_batches += 1
-        result.loss_trace.append(
-            LossBreakdown(
-                total=tot_sum / n_batches,
-                cross_entropy=ce_sum / n_batches,
-                triplet=trp_sum / n_batches,
-                n_triplets=trp_count,
-            )
-        )
-        result.triplet_count_trace.append(trp_count)
-    result.params = params
+        _record_epoch(result, epoch, LossBreakdown(
+            total=tot_sum / n_batches, cross_entropy=ce_sum / n_batches,
+            triplet=trp_sum / n_batches, n_triplets=trp_count))
     return result
 
 
@@ -325,10 +328,8 @@ def train_cross_entropy_only(
 ) -> TrainResult:
     """Baseline trainer: identical init and batch schedule, no triplet
     term. With lam = 0 the combined trainer reproduces it bit-for-bit."""
-    x, y, keys, n_classes = _prepare(dataset, conditioning)
-    rng = Rng(config.seed, ("train",))
-    params = init_params(x.shape[1], config.d_emb, n_classes, rng)
-    result = TrainResult(params=params)
+    x, y, keys, rng, result = _prepare(dataset, config, conditioning)
+    params = result.params
     for epoch in range(config.epochs):
         order = stratified_order(keys, rng.child(f"shuffle-{epoch}"))
         ce_sum = 0.0
@@ -346,13 +347,9 @@ def train_cross_entropy_only(
             params.b2 -= lr * d_logits.sum(axis=0)
             ce_sum += ce
             n_batches += 1
-        result.loss_trace.append(
-            LossBreakdown(total=ce_sum / n_batches,
-                          cross_entropy=ce_sum / n_batches,
-                          triplet=0.0, n_triplets=0)
-        )
-        result.triplet_count_trace.append(0)
-    result.params = params
+        _record_epoch(result, epoch, LossBreakdown(
+            total=ce_sum / n_batches, cross_entropy=ce_sum / n_batches,
+            triplet=0.0, n_triplets=0))
     return result
 
 

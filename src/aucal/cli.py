@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -62,12 +63,21 @@ def _load_binarized(path, label_col, condition, thresholds):
     dataset = result.dataset
     aus = condition.split(",") if condition else []
     if aus and not dataset.is_binarized(aus):
-        thr = {au: thresholds.get(au, 2.5) for au in aus}
-        dataset = binarize(dataset, thr)
+        dataset = binarize(dataset, {au: thresholds.get(au, 2.5) for au in aus})
+    elif aus and thresholds:  # the file's presence columns would win silently
+        raise _UsageError(f"thresholds given, but {path} already carries "
+                          f"{', '.join(au + '_presence' for au in aus)}")
     return dataset, result
 
 
+# JSON spelling of config field names, in saved models and compare specs
+_JSON_NAME = {"lam": "lambda"}
+
+
 def _save_model(params: ModelParams, config: TrainConfig, path) -> None:
+    # triplet_reduction stays out, so saved models keep their exact bytes
+    fields = dataclasses.asdict(config)
+    del fields["triplet_reduction"]
     payload = {
         "header": report_header(seed=config.seed),
         "d_in": params.W1.shape[0],
@@ -77,16 +87,7 @@ def _save_model(params: ModelParams, config: TrainConfig, path) -> None:
         "b1": params.b1,
         "W2": params.W2,
         "b2": params.b2,
-        "config": {
-            "lambda": config.lam,
-            "margin": config.margin,
-            "learning_rate": config.learning_rate,
-            "batch_size": config.batch_size,
-            "epochs": config.epochs,
-            "d_emb": config.d_emb,
-            "seed": config.seed,
-            "max_triplets_per_anchor": config.max_triplets_per_anchor,
-        },
+        "config": {_JSON_NAME.get(k, k): v for k, v in fields.items()},
     }
     Path(path).write_text(canonical_json(payload) + "\n", encoding="utf-8")
 
@@ -101,34 +102,30 @@ def _load_model(path) -> ModelParams:
     )
 
 
-def _synth_config_from_json(raw: dict) -> SynthConfig:
-    au_models = {
-        au: AuModel(**params) for au, params in raw["au_models"].items()
-    }
-    return SynthConfig(
-        n=raw["n"],
-        group_probs=raw["group_probs"],
-        latent_positive_prob=raw["latent_positive_prob"],
-        au_models=au_models,
-        annotator_intercept=raw["annotator_intercept"],
-        annotator_weights=raw["annotator_weights"],
-        group_bias=raw.get("group_bias", {}),
-        composition_shift=raw.get("composition_shift", {}),
-        thresholds=raw.get("thresholds", {}),
-        feature_dim=raw.get("feature_dim", 0),
-        feature_noise_std=raw.get("feature_noise_std", 0.1),
-        group_leak_dims=raw.get("group_leak_dims", 0),
-        test_fraction=raw.get("test_fraction", 0.0),
-        group_attr=raw.get("group_attr", "gender"),
-        seed=raw.get("seed", 0),
-    )
+def _reject_unknown(keys, allowed, where: str) -> None:
+    if unknown := sorted(set(keys) - set(allowed)):
+        raise _UsageError(f"unknown {where} keys: {', '.join(unknown)}")
+
+
+def _config_from(cls, raw: dict, where: str, **fixed):
+    """A cls from a JSON object keyed by its field names; unknown keys are
+    an error, absent fields take cls's defaults and ``fixed`` sets the rest."""
+    names = {_JSON_NAME.get(f.name, f.name): f.name
+             for f in dataclasses.fields(cls) if f.name not in fixed}
+    _reject_unknown(raw, names, where)
+    try:
+        return cls(**{names[k]: v for k, v in raw.items()}, **fixed)
+    except TypeError as exc:  # a field without a default is missing
+        raise _UsageError(f"{where}: {exc}") from None
 
 
 def _cmd_synth(args) -> int:
     raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
     if args.seed is not None:
         raw["seed"] = args.seed
-    config = _synth_config_from_json(raw)
+    raw["au_models"] = {au: _config_from(AuModel, m, f"au_models {au}")
+                        for au, m in raw["au_models"].items()}
+    config = _config_from(SynthConfig, raw, "synth config")
     result = generate(config)
     dataset = binarize(
         result.dataset,
@@ -251,8 +248,19 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+_SPEC_KEYS = {"data", "label", "condition", "group", "positive_group",
+              "thresholds", "models"}
+
+
 def _cmd_compare(args) -> int:
     spec = json.loads(Path(args.configs).read_text(encoding="utf-8"))
+    _reject_unknown(spec, _SPEC_KEYS, "compare spec")
+    models = []
+    for m in spec["models"]:
+        fields = {k: v for k, v in m.items() if k != "name"}
+        models.append((m["name"], [
+            _config_from(TrainConfig, fields, "model spec", seed=seed)
+            for seed in range(args.seeds)]))
     thresholds = spec.get("thresholds", {})
     dataset, _ = _load_binarized(
         spec["data"], spec.get("label", "label"), spec["condition"], thresholds
@@ -261,23 +269,14 @@ def _cmd_compare(args) -> int:
     group = spec.get("group", "gender")
     positive_group = spec["positive_group"]
     summaries = []
-    for model_spec in spec["models"]:
+    for name, configs in models:
         results = []
-        for seed in range(args.seeds):
-            config = TrainConfig(
-                lam=model_spec.get("lambda", 0.0),
-                margin=model_spec.get("margin", 0.2),
-                learning_rate=model_spec.get("learning_rate", 0.05),
-                batch_size=model_spec.get("batch_size", 128),
-                epochs=model_spec.get("epochs", 40),
-                d_emb=model_spec.get("d_emb", 16),
-                seed=seed,
-            )
+        for config in configs:
             trained = train(dataset, config, aus)
             test = dataset.split_part("test")
             scores, _ = predict(trained.params, test.feature_matrix())
             results.append(evaluate(scores, test, group, positive_group))
-        summaries.append(summarize_runs(model_spec["name"], results))
+        summaries.append(summarize_runs(name, results))
     Path(args.out).write_text(summaries_csv(summaries), encoding="utf-8")
     for s in summaries:
         print(

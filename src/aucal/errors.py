@@ -93,6 +93,10 @@ class DimensionMismatch(AucalError):
     pass
 
 
+class Diverged(AucalError):
+    pass
+
+
 # --- metrics ---
 
 class MissingGroup(AucalError):
