@@ -1,0 +1,66 @@
+"""CLI behaviour that follows from library defaults: the audit of a 3-level
+group equals the library's multi-group report, a 2-level audit carries the
+pooled logistic fit, and `aucal train` with only its required flags trains
+and saves the configuration of a default TrainConfig."""
+
+import dataclasses
+import json
+
+from aucal.audit import multi_group_bias_report
+from aucal.aucfer import TrainConfig
+from aucal.cli import run
+from aucal.data import binarize, load_dataset, save_dataset
+from aucal.report import emit_json, report_header
+from aucal.synth import generate
+from conftest import biased_config
+
+AUS = ["AU6", "AU12"]
+
+
+def _save(tmp_path, config):
+    path = tmp_path / "data.csv"
+    dataset = binarize(generate(config).dataset, {au: 2.2 for au in AUS})
+    save_dataset(dataset, path)
+    return path
+
+
+def test_three_level_audit_matches_multi_group_report(tmp_path):
+    config = dataclasses.replace(
+        biased_config(seed=5, n=600, feature_dim=6, leak=2),
+        group_attr="age_group",
+        group_probs={"young": 0.6, "mid": 0.36, "old": 0.04},
+        group_bias={"young": 1.0},
+    )
+    data = _save(tmp_path, config)
+    out = tmp_path / "report.json"
+    assert run(["audit", "--data", str(data), "--condition", ",".join(AUS),
+                "--group", "age_group", "--small-levels", "merge",
+                "--out", str(out)]) == 0
+
+    report = multi_group_bias_report(load_dataset(data).dataset, AUS,
+                                     "age_group", small_level_policy="merge")
+    assert any(cell.merged_levels for cell in report.cells)
+    expected = tmp_path / "expected.json"
+    emit_json(report, expected, report_header(seed=0, input_path=data))
+    assert out.read_bytes() == expected.read_bytes()
+    assert json.loads(out.read_text(encoding="utf-8"))["report"]["logistic"] is None
+
+
+def test_two_level_audit_keeps_logistic_fit(tmp_path):
+    data = _save(tmp_path, biased_config(seed=5, n=600, feature_dim=6, leak=2))
+    out = tmp_path / "report.json"
+    assert run(["audit", "--data", str(data), "--condition", ",".join(AUS),
+                "--small-levels", "merge", "--out", str(out)]) == 0
+    logistic = json.loads(out.read_text(encoding="utf-8"))["report"]["logistic"]
+    assert logistic["term_names"] == ["intercept", "AU6", "AU12", "gender=M"]
+
+
+def test_train_defaults_are_train_config_defaults(tmp_path):
+    data = _save(tmp_path, biased_config(seed=5, n=300, feature_dim=6, leak=2))
+    model = tmp_path / "model.json"
+    assert run(["train", "--data", str(data), "--condition", ",".join(AUS),
+                "--out", str(model)]) == 0
+    expected = dataclasses.asdict(TrainConfig())
+    expected["lambda"] = expected.pop("lam")
+    del expected["triplet_reduction"]  # saved models leave it out
+    assert json.loads(model.read_text(encoding="utf-8"))["config"] == expected
