@@ -354,9 +354,9 @@ def train_cross_entropy_only(
 
 
 def predict(
-    params: ModelParams, features: np.ndarray, positive_class: int = 1
+    params: ModelParams, features: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Softmax probability of the positive class plus the embedding."""
+    """Softmax probability of class 1, the positive class, plus the embedding."""
     x = np.asarray(features, dtype=float)
     single = x.ndim == 1
     if single:
@@ -369,7 +369,7 @@ def predict(
     shifted = logits - logits.max(axis=1, keepdims=True)
     probs = np.exp(shifted)
     probs /= probs.sum(axis=1, keepdims=True)
-    scores = probs[:, positive_class]
+    scores = probs[:, 1]
     if single:
         return scores[0], emb[0]
     return scores, emb

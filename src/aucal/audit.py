@@ -46,8 +46,6 @@ def _log_likelihood(eta: np.ndarray, y: np.ndarray) -> float:
 def logistic_fit(
     design: np.ndarray,
     labels: Sequence[int],
-    max_iter: int = 100,
-    tol: float = 1e-10,
     term_names: Sequence[str] | None = None,
 ) -> LogisticFit:
     """Maximum-likelihood logistic regression by IRLS (Newton) with
@@ -72,7 +70,7 @@ def logistic_fit(
     ll = _log_likelihood(eta, y)
     iterations = 0
     converged = False
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, 101):  # at most 100 Newton steps
         mu = sigmoid(eta)
         w = mu * (1.0 - mu)
         grad = X.T @ (y - mu)
@@ -93,7 +91,7 @@ def logistic_fit(
                 break
             step *= 0.5
         beta, eta, ll = cand, cand_eta, cand_ll
-        if np.max(np.abs(step * delta)) < tol:
+        if np.max(np.abs(step * delta)) < 1e-10:
             converged = True
             break
         mu = sigmoid(eta)

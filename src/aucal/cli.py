@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .audit import bias_curves, conditional_bias_report, multi_group_bias_report
+from .audit import bias_curves, conditional_bias_report
 from .aucfer import (
     ModelParams,
     TrainConfig,
@@ -23,8 +23,9 @@ from .aucfer import (
     train_cross_entropy_only,
 )
 from .calibrate import calibrate_per_group
-from .data import CsvSchema, binarize, load_dataset, save_dataset
-from .errors import AucalError, IoError
+from .data import (AU_MAX, AU_MIN, DEFAULT_THRESHOLD, CsvSchema, binarize,
+                   load_dataset, save_dataset)
+from .errors import AucalError, InvalidModel, IoError, ParseError
 from .metrics import build_fair_test_set, evaluate, summarize_runs
 from .relabel import relabel_to_parity
 from .report import (
@@ -63,11 +64,19 @@ def _load_binarized(path, label_col, condition, thresholds):
     dataset = result.dataset
     aus = condition.split(",") if condition else []
     if aus and not dataset.is_binarized(aus):
-        dataset = binarize(dataset, {au: thresholds.get(au, 2.5) for au in aus})
+        dataset = binarize(dataset,
+                           {au: thresholds.get(au, DEFAULT_THRESHOLD) for au in aus})
     elif aus and thresholds:  # the file's presence columns would win silently
         raise _UsageError(f"thresholds given, but {path} already carries "
                           f"{', '.join(au + '_presence' for au in aus)}")
     return dataset, result
+
+
+def _load_data(args):
+    """The binarized dataset and conditioning AUs the shared flags name."""
+    thresholds = _parse_thresholds(args.thresholds) if args.thresholds else {}
+    dataset, _ = _load_binarized(args.data, args.label, args.condition, thresholds)
+    return dataset, args.condition.split(",")
 
 
 # JSON spelling of config field names, in saved models and compare specs
@@ -94,12 +103,21 @@ def _save_model(params: ModelParams, config: TrainConfig, path) -> None:
 
 def _load_model(path) -> ModelParams:
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    return ModelParams(
-        W1=np.array(raw["W1"]),
-        b1=np.array(raw["b1"]),
-        W2=np.array(raw["W2"]),
-        b2=np.array(raw["b2"]),
-    )
+    try:  # TypeError also when the file holds no JSON object
+        weights = [np.array(raw[k], dtype=float) for k in ("W1", "b1", "W2", "b2")]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidModel(f"{path}: W1, b1, W2 and b2 must be numeric arrays "
+                           f"({exc})") from None
+    W1, _, W2, _ = weights
+    d_in, e = W1.shape if W1.ndim == 2 else (0, 0)
+    c = W2.shape[1] if W2.ndim == 2 else 0
+    shapes = [w.shape for w in weights]
+    if shapes != [(d_in, e), (e,), (e, c), (c,)] or c < 2:
+        raise InvalidModel(f"{path}: weight shapes {shapes} are not W1 (d_in, e), "
+                           f"b1 (e,), W2 (e, c), b2 (c,) with c >= 2")
+    if not all(np.isfinite(w).all() for w in weights):
+        raise InvalidModel(f"{path}: weights are not all finite")
+    return ModelParams(*weights)
 
 
 def _reject_unknown(keys, allowed, where: str) -> None:
@@ -144,6 +162,11 @@ def _cmd_calibrate(args) -> int:
         rows = list(csv.DictReader(fh))
     if not rows:
         raise _UsageError(f"{args.data}: empty file")
+    for rownum, row in enumerate(rows, start=2):
+        # DictReader fills the fields a short row lacks with None
+        missing = [col for col, value in row.items() if value is None]
+        if missing:
+            raise ParseError(rownum, missing[0], "row has too few fields")
     results = {}
     for au in args.truth_cols.split(","):
         truth_col = f"{au}_true"
@@ -159,28 +182,20 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    thresholds = _parse_thresholds(args.thresholds) if args.thresholds else {}
-    dataset, _ = _load_binarized(args.data, args.label, args.condition, thresholds)
-    aus = args.condition.split(",")
-    mode = "marginal" if args.marginal else "joint"
-    k = len(dataset.attribute_levels[args.group])
-    if k >= 3:
-        report = multi_group_bias_report(
-            dataset, aus, args.group, mode=mode,
-            min_expected=args.min_expected,
-            small_level_policy=args.small_levels,
-        )
-    else:
-        report = conditional_bias_report(
-            dataset, aus, args.group, mode=mode,
-            min_expected=args.min_expected,
-        )
+    dataset, aus = _load_data(args)
+    # the pooled logistic fit is reported for two-level groups only
+    report = conditional_bias_report(
+        dataset, aus, args.group, mode="marginal" if args.marginal else "joint",
+        min_expected=args.min_expected,
+        include_logistic=len(dataset.attribute_levels[args.group]) < 3,
+        small_level_policy=args.small_levels,
+    )
     emit_json(report, args.out,
               report_header(seed=args.seed, input_path=args.data))
     if args.csv:
         Path(args.csv).write_text(bias_report_csv(report), encoding="utf-8")
     if args.curves:
-        grid = np.linspace(0.0, 5.0, 51)
+        grid = np.linspace(AU_MIN, AU_MAX, 51)
         curves = bias_curves(dataset, aus, args.group, grid=grid)
         Path(args.curves).write_text(curves_csv(curves), encoding="utf-8")
     tested = [c for c in report.cells if c.status == "tested"]
@@ -192,9 +207,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_relabel(args) -> int:
-    thresholds = _parse_thresholds(args.thresholds) if args.thresholds else {}
-    dataset, _ = _load_binarized(args.data, args.label, args.condition, thresholds)
-    aus = args.condition.split(",")
+    dataset, aus = _load_data(args)
     relabeled, log = relabel_to_parity(
         dataset, aus, args.group, seed=args.seed
     )
@@ -206,20 +219,18 @@ def _cmd_relabel(args) -> int:
     return 0
 
 
+# aucal train flag -> the TrainConfig field it sets, whose default and type
+# the flag takes
+_TRAIN_FLAGS = {"--lambda": "lam", "--margin": "margin", "--lr": "learning_rate",
+                "--batch": "batch_size", "--epochs": "epochs", "--emb": "d_emb",
+                "--seed": "seed"}
+
+
 def _cmd_train(args) -> int:
-    thresholds = _parse_thresholds(args.thresholds) if args.thresholds else {}
-    dataset, _ = _load_binarized(args.data, args.label, args.condition, thresholds)
-    config = TrainConfig(
-        lam=0.0 if args.baseline else args.lam,
-        margin=args.margin,
-        learning_rate=args.lr,
-        batch_size=args.batch,
-        epochs=args.epochs,
-        d_emb=args.emb,
-        seed=args.seed,
-    )
-    aus = args.condition.split(",")
+    dataset, aus = _load_data(args)
+    config = TrainConfig(**{f: getattr(args, f) for f in _TRAIN_FLAGS.values()})
     if args.baseline:
+        config = dataclasses.replace(config, lam=0.0)
         result = train_cross_entropy_only(dataset, config, aus)
     else:
         result = train(dataset, config, aus)
@@ -292,10 +303,8 @@ def demo_synth_config(seed: int, n: int = 8000) -> SynthConfig:
         group_probs={"F": 0.5, "M": 0.5},
         latent_positive_prob=0.5,
         au_models={
-            "AU6": AuModel(mean_negative=1.2, mean_positive=3.2, std_negative=0.8,
-                           std_positive=0.8),
-            "AU12": AuModel(mean_negative=1.0, mean_positive=3.4, std_negative=0.8,
-                            std_positive=0.8),
+            "AU6": AuModel(mean_negative=1.2, mean_positive=3.2),
+            "AU12": AuModel(mean_negative=1.0, mean_positive=3.4),
         },
         annotator_intercept=-4.0,
         annotator_weights={"AU6": 0.9, "AU12": 0.9},
@@ -339,8 +348,7 @@ def _cmd_demo(args) -> int:
 
     epochs = args.epochs
     base_cfg = TrainConfig(lam=0.0, epochs=epochs, seed=args.seed)
-    fair_cfg = TrainConfig(lam=10.0, epochs=epochs, seed=args.seed,
-                           triplet_reduction="mean")
+    fair_cfg = TrainConfig(epochs=epochs, seed=args.seed, triplet_reduction="mean")
     baseline = train(dataset, base_cfg, aus)
     aucfer = train(dataset, fair_cfg, aus)
     _save_model(baseline.params, base_cfg, out / "model_baseline.json")
@@ -387,48 +395,40 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_calibrate)
 
-    p = sub.add_parser("audit", help="conditional annotation-bias audit")
-    p.add_argument("--data", required=True)
-    p.add_argument("--condition", required=True)
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--data", required=True)
+    data.add_argument("--condition", required=True)
+    data.add_argument("--label", default="label")
+    data.add_argument("--thresholds", default="")
+    data.add_argument("--out", required=True)
+
+    p = sub.add_parser("audit", parents=[data],
+                       help="conditional annotation-bias audit")
     p.add_argument("--group", default="gender")
-    p.add_argument("--label", default="label")
     p.add_argument("--marginal", action="store_true")
     p.add_argument("--min-expected", type=float, default=5.0)
     p.add_argument("--small-levels", choices=("insufficient", "merge"),
                    default="insufficient")
-    p.add_argument("--thresholds", default="")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.add_argument("--csv", default="")
     p.add_argument("--curves", default="")
     p.set_defaults(func=_cmd_audit)
 
-    p = sub.add_parser("relabel", help="flip labels to per-cell parity")
-    p.add_argument("--data", required=True)
-    p.add_argument("--condition", required=True)
+    p = sub.add_parser("relabel", parents=[data],
+                       help="flip labels to per-cell parity")
     p.add_argument("--group", default="gender")
-    p.add_argument("--label", default="label")
-    p.add_argument("--thresholds", default="")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.add_argument("--fliplog", default="")
     p.set_defaults(func=_cmd_relabel)
 
-    p = sub.add_parser("train", help="train the triplet-regularized model")
-    p.add_argument("--data", required=True)
-    p.add_argument("--condition", required=True)
-    p.add_argument("--label", default="label")
-    p.add_argument("--thresholds", default="")
-    p.add_argument("--lambda", dest="lam", type=float, default=10.0)
-    p.add_argument("--margin", type=float, default=0.2)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--batch", type=int, default=128)
-    p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--emb", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("train", parents=[data],
+                       help="train the triplet-regularized model")
+    defaults = TrainConfig()
+    for flag, name in _TRAIN_FLAGS.items():
+        default = getattr(defaults, name)
+        p.add_argument(flag, dest=name, type=type(default), default=default)
     p.add_argument("--baseline", action="store_true",
                    help="cross-entropy-only trainer")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a trained model")

@@ -33,6 +33,7 @@ FEATURE_COLUMN_RE = re.compile(r"^f(\d+)$")
 PRESENCE_SUFFIX = "_presence"
 KNOWN_GROUP_COLUMNS = ("gender", "age_group", "race")
 AU_MIN, AU_MAX = 0.0, 5.0
+DEFAULT_THRESHOLD = 2.5  # binarizes an AU that no threshold is given for
 _SAVE_CHUNK = 8192  # rows formatted at a time, so save holds few cell strings
 
 
@@ -252,13 +253,11 @@ class Dataset:
 @dataclass(frozen=True)
 class CsvSchema:
     """Column mapping for load_dataset. label_col names the expression
-    column (e.g. 'happy' or 'label'); group_cols default to whichever of
-    gender/age_group/race are present."""
+    column (e.g. 'happy' or 'label'); ids are read from 'id', the split from
+    'split', and the group columns are whichever of gender/age_group/race
+    are present, the names save_dataset writes."""
 
-    id_col: str = "id"
     label_col: str = "label"
-    group_cols: tuple[str, ...] | None = None
-    split_col: str = "split"
 
 
 @dataclass
@@ -286,18 +285,13 @@ def load_dataset(path: str | Path, schema: CsvSchema | None = None) -> LoadResul
         rows = list(reader)
 
     col_idx = {name: i for i, name in enumerate(header)}
-    for required in (schema.id_col, schema.label_col):
+    for required in ("id", schema.label_col):
         if required not in col_idx:
             raise MissingColumn(required)
 
-    group_cols = schema.group_cols
-    if group_cols is None:
-        group_cols = tuple(c for c in KNOWN_GROUP_COLUMNS if c in col_idx)
+    group_cols = [c for c in KNOWN_GROUP_COLUMNS if c in col_idx]
     if not group_cols:
         raise MissingColumn("gender (no group column found)")
-    for g in group_cols:
-        if g not in col_idx:
-            raise MissingColumn(g)
 
     au_cols = sorted(
         (c for c in header if AU_COLUMN_RE.match(c)), key=au_sort_key
@@ -316,7 +310,7 @@ def load_dataset(path: str | Path, schema: CsvSchema | None = None) -> LoadResul
         )
     feat_cols = [feat_indices[i] for i in range(feature_dim)]
 
-    recognized = {schema.id_col, schema.label_col, schema.split_col, *group_cols,
+    recognized = {"id", schema.label_col, "split", *group_cols,
                   *au_cols, *presence_cols.values(), *feat_cols}
     ignored = [c for c in header if c not in recognized]
 
@@ -384,15 +378,14 @@ def load_dataset(path: str | Path, schema: CsvSchema | None = None) -> LoadResul
         features[:, j] = parse(c, float, float, "f*", "feature not a number")
         reject(~np.isfinite(features[:, j]), c, "feature not finite")
 
-    split = np.array(cells(schema.split_col) if schema.split_col in col_idx
-                     else [""] * len(rownums))
+    split = np.array(cells("split") if "split" in col_idx else [""] * len(rownums))
     reject((split != "") & (split != "train") & (split != "test"),
-           schema.split_col, "split must be train/test")
+           "split", "split must be train/test")
 
     dataset = Dataset(
         au_ids=tuple(au_cols),
         attribute_levels=levels,
-        ids=np.array(cells(schema.id_col), dtype=str),
+        ids=np.array(cells("id"), dtype=str),
         intensity=intensity,
         presence=presence,
         binarized=frozenset(presence_cols),

@@ -97,6 +97,10 @@ class Diverged(AucalError):
     pass
 
 
+class InvalidModel(AucalError):
+    pass
+
+
 # --- metrics ---
 
 class MissingGroup(AucalError):

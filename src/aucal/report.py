@@ -40,17 +40,16 @@ def _encode(obj, out: list[str]) -> None:
     elif isinstance(obj, np.ndarray):
         _encode(obj.tolist(), out)
     elif isinstance(obj, Mapping):
+        items = {str(k): v for k, v in obj.items()}
+        if len(items) < len(obj):
+            raise IoError(f"mapping keys collide as strings: {sorted(map(repr, obj))}")
         out.append("{")
-        first = True
-        for key in sorted(str(k) for k in obj):
-            # re-find the original key: stringified sort keys must be unique
-            value = obj[key] if key in obj else _lookup(obj, key)
-            if not first:
+        for i, key in enumerate(sorted(items)):
+            if i:
                 out.append(",")
-            first = False
             out.append(json.dumps(key))
             out.append(":")
-            _encode(value, out)
+            _encode(items[key], out)
         out.append("}")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
@@ -63,13 +62,6 @@ def _encode(obj, out: list[str]) -> None:
         _encode(_dataclass_dict(obj), out)
     else:
         raise IoError(f"cannot serialize {type(obj).__name__}")
-
-
-def _lookup(mapping: Mapping, key_str: str):
-    for k, v in mapping.items():
-        if str(k) == key_str:
-            return v
-    raise KeyError(key_str)
 
 
 def _dataclass_dict(obj) -> dict:

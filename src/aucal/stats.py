@@ -112,12 +112,6 @@ def reg_upper_gamma(a: float, x: float) -> float:
     return upper_gamma_cf(a, x)
 
 
-def reg_lower_gamma(a: float, x: float) -> float:
-    if x < a + 1.0:
-        return lower_gamma_series(a, x)
-    return 1.0 - upper_gamma_cf(a, x)
-
-
 def chi2_sf(x: float, dof: int) -> float:
     """Upper tail P(X >= x) of the chi-square distribution."""
     if x < 0:
@@ -129,10 +123,6 @@ def chi2_sf(x: float, dof: int) -> float:
 
 def normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
-def normal_sf(z: float) -> float:
-    return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
 def sigmoid(eta: np.ndarray) -> np.ndarray:

@@ -17,12 +17,10 @@ from typing import Mapping
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .data import AuCellKey, Dataset, au_sort_key
+from .data import AU_MAX, AU_MIN, DEFAULT_THRESHOLD, AuCellKey, Dataset, au_sort_key
 from .errors import InvalidConfig
 from .rng import Rng
 from .stats import normal_cdf, sigmoid
-
-AU_LO, AU_HI = 0.0, 5.0
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,7 @@ class SynthConfig:
             raise InvalidConfig("test_fraction must be in [0, 1)")
 
     def threshold_for(self, au: str) -> float:
-        return float(self.thresholds.get(au, 2.5))
+        return float(self.thresholds.get(au, DEFAULT_THRESHOLD))
 
     def au_ids(self) -> list[str]:
         return sorted(self.au_models, key=au_sort_key)
@@ -97,8 +95,8 @@ class SynthConfig:
 
 def _truncnorm_draw(gen: np.random.Generator, mean, std, size) -> np.ndarray:
     """Inverse-CDF sampling of a normal truncated to [0, 5]."""
-    a = ndtr((AU_LO - mean) / std)
-    b = ndtr((AU_HI - mean) / std)
+    a = ndtr((AU_MIN - mean) / std)
+    b = ndtr((AU_MAX - mean) / std)
     u = gen.random(size)
     return mean + std * ndtri(a + u * (b - a))
 
@@ -187,11 +185,11 @@ def with_fair_test_labels(result: SynthResult) -> Dataset:
 
 def _region(config: SynthConfig, au: str, bit: int) -> tuple[float, float]:
     t = config.threshold_for(au)
-    return (t, AU_HI) if bit else (AU_LO, t)
+    return (t, AU_MAX) if bit else (AU_MIN, t)
 
 
 def _truncnorm_norm(mean: float, std: float) -> float:
-    return normal_cdf((AU_HI - mean) / std) - normal_cdf((AU_LO - mean) / std)
+    return normal_cdf((AU_MAX - mean) / std) - normal_cdf((AU_MIN - mean) / std)
 
 
 def _region_prob(mean: float, std: float, lo: float, hi: float) -> float:
@@ -200,7 +198,7 @@ def _region_prob(mean: float, std: float, lo: float, hi: float) -> float:
 
 
 def expected_cell_proportions(
-    config: SynthConfig, cell: AuCellKey, nodes: int = 64
+    config: SynthConfig, cell: AuCellKey
 ) -> dict[str, float]:
     """Closed-form P(Y=1 | cell, group): the annotator logistic integrated
     over the truncated-normal intensities conditioned on the cell's
@@ -209,9 +207,9 @@ def expected_cell_proportions(
     aus = config.au_ids()
     regions = {au: _region(config, au, bit) for au, bit in cell.items}
     for au in aus:
-        regions.setdefault(au, (AU_LO, AU_HI))
+        regions.setdefault(au, (AU_MIN, AU_MAX))
 
-    x_gl, w_gl = np.polynomial.legendre.leggauss(nodes)
+    x_gl, w_gl = np.polynomial.legendre.leggauss(64)  # 64 nodes per AU
 
     out = {}
     for z_level in sorted(config.group_probs):
@@ -247,7 +245,7 @@ def expected_cell_proportions(
             weight = np.ones((1,) * k)
             for dim, ((x, w), au) in enumerate(zip(grids, aus)):
                 shape = [1] * k
-                shape[dim] = nodes
+                shape[dim] = x.size
                 eta = eta + config.annotator_weights.get(au, 0.0) * x.reshape(shape)
                 weight = weight * w.reshape(shape)
             exp_sigma = float((weight * sigmoid(eta)).sum())
