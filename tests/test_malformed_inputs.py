@@ -69,14 +69,6 @@ def test_eval_rejects_model_file_holding_a_list(trained, tmp_path, capsys):
     assert "numeric arrays" in capsys.readouterr().err
 
 
-def test_eval_accepts_the_saved_model(trained, tmp_path):
-    data, model = trained
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(model), encoding="utf-8")
-    assert run(["eval", "--model", str(path), "--test", str(data),
-                "--positive-group", "F", "--out", str(tmp_path / "e.json")]) == 0
-
-
 def test_calibrate_rejects_short_row(tmp_path, capsys):
     data = tmp_path / "cal.csv"
     data.write_text("id,AU6,AU6_true,gender\na,1.0,0,F\nb,3.0\nc,2.0,1,M\n",
