@@ -1,0 +1,99 @@
+"""SHA-256 digests of library results that the golden demo does not reach:
+the audit of 3- and 4-level groups under both small-level policies and both
+conditioning modes, per-group calibration with a degenerate level, and
+relabeling a dataset that holds a label other than 0 and 1. The digests
+were recorded once; a refactor that is meant to leave behaviour alone must
+leave them alone too."""
+
+import dataclasses
+import hashlib
+
+import numpy as np
+import pytest
+
+from aucal.audit import conditional_bias_report
+from aucal.calibrate import calibrate_per_group
+from aucal.data import binarize
+from aucal.relabel import relabel_to_parity
+from aucal.report import canonical_json
+from aucal.synth import generate
+from conftest import biased_config
+
+AUS = ["AU6", "AU12"]
+
+# levels and row count: the 3-level data leaves merged cells untested, the
+# 4-level data tests some cells unmerged and merges up to three levels
+GROUPS = {
+    "three": ({"young": 0.55, "mid": 0.38, "old": 0.07}, 250),
+    "four": ({"a": 0.5, "b": 0.35, "c": 0.1, "d": 0.05}, 1500),
+}
+
+AUDIT = {
+    ("three", "insufficient", "joint"):
+        "1274004295a6367abfd18a2e8008fe4fdffbd8ca712d2ad8f0bc04ab22ed2452",
+    ("three", "insufficient", "marginal"):
+        "71f6b45a13b7077813419e901bbdc7ddcd411ef38dcf57c8bfdfcbdb910a5a61",
+    ("three", "merge", "joint"):
+        "f75f08a8c8e4c5d1e1fb4589f86c88e80dc0afdb44e2069fe1eae8077baea6ef",
+    ("three", "merge", "marginal"):
+        "c8e48d558d8839a30f349f45c78a11e770d926ef752200af3202118593df67b9",
+    ("four", "insufficient", "joint"):
+        "d650d9033d720b992a0fd7405bcbbd9475f234527d2a3b5e3179cb4cfa9e33bf",
+    ("four", "insufficient", "marginal"):
+        "65e1ddfada5f7c7bfc5aee1bd33fb0e1d0bd9d10a0ca6610006a1a226ea3de47",
+    ("four", "merge", "joint"):
+        "b5215dbd16f64805b97c760f25e3bd036b240b2deb8896cb2efbf879fc4cb9d5",
+    ("four", "merge", "marginal"):
+        "5176b2ed0295c11559d660cbe549678574bf1aa9a35183e279de8f905dc10005",
+}
+CALIBRATION = "b4cc15d0179737000b7e1b3671609d10d483ea9d67adbbb3fc6533c78157f023"
+RELABEL = "55f4620b25b12dc792e52f798774a0ebeb662a38d8332dbf9d67d66d6d4f15e8"
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+
+
+def _multi_level(name):
+    levels, n = GROUPS[name]
+    config = dataclasses.replace(
+        biased_config(seed=len(levels), n=n),
+        group_attr="age_group",
+        group_probs=levels,
+        group_bias={next(iter(levels)): 1.0},
+    )
+    return binarize(generate(config).dataset, {au: 2.2 for au in AUS})
+
+
+@pytest.mark.parametrize("name, policy, mode", sorted(AUDIT))
+def test_multi_level_audit_digest(name, policy, mode):
+    report = conditional_bias_report(_multi_level(name), AUS, "age_group",
+                                     mode=mode, small_level_policy=policy)
+    if policy == "merge":
+        assert any(cell.merged_levels for cell in report.cells)
+    assert _digest(report) == AUDIT[name, policy, mode]
+
+
+def test_calibration_with_degenerate_level_digest():
+    gen = np.random.default_rng(17)
+    groups = np.repeat(["a", "b", "c"], [120, 90, 30])
+    truth = (gen.random(groups.size) < 0.5).astype(int)
+    truth[groups == "c"] = 0  # level c has no positives
+    shift = np.where(groups == "b", 0.4, 0.0)
+    x = np.clip(np.where(truth == 1, 3.0, 1.4) + shift
+                + gen.normal(0.0, 0.7, groups.size), 0.0, 5.0)
+    result = calibrate_per_group(x.round(3), truth, groups.tolist(), au_id="AU6")
+    assert result.degenerate_levels == ("c",)
+    assert _digest(result) == CALIBRATION
+
+
+def test_relabel_with_label_two_digest():
+    dataset = binarize(generate(biased_config(seed=9, n=500)).dataset,
+                       {au: 2.2 for au in AUS})
+    labels = dataset.labels().copy()
+    labels[::7] = 2
+    relabeled, log = relabel_to_parity(dataset.with_labels(labels), AUS, "gender",
+                                       seed=4)
+    out = relabeled.labels()
+    assert (out == 2).any() and ((labels == 2) & (out == 1)).any()
+    assert _digest({"labels": out, "flips": log}) == RELABEL
