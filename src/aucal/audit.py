@@ -199,58 +199,41 @@ def _build_cell(
     if len(levels) == 2 and len(present) == 2:
         delta = props[present[1]] - props[present[0]]
 
-    def attempt(rows: list[str], pos: dict, tot: dict, merged: tuple):
-        table = table_from_counts(
-            rows, [pos[r] for r in rows], [tot[r] for r in rows], condition
-        )
-        stat, dof, p = chi_square_independence(table, min_expected=min_expected)
-        argmax = None
-        if p < 0.05:
-            argmax = max(rows, key=lambda r: pos[r] / tot[r])
-        return CellResult(
-            condition=condition,
-            n_per_group=dict(totals),
-            positives_per_group=dict(positives),
-            proportion_per_group=props,
-            status="tested",
-            delta=delta,
-            chi_square=stat,
-            dof=dof,
-            p_value=p,
-            argmax_level=argmax,
-            merged_levels=merged,
-        )
-
-    rows = list(present)
-    pos = {r: positives[r] for r in rows}
-    tot = {r: totals[r] for r in rows}
+    # (positives, total) per table row; the merge bucket "other" stays last
+    rows = {lvl: (positives[lvl], totals[lvl]) for lvl in present}
     merged: tuple[str, ...] = ()
-    while True:
-        if len(rows) < 2:
-            break
+    test = None
+    while len(rows) >= 2:
+        table = table_from_counts(list(rows), *zip(*rows.values()))
         try:
-            return attempt(rows, pos, tot, merged)
+            test = chi_square_independence(table, min_expected=min_expected)
+            break
         except InsufficientData:
-            candidates = [r for r in rows if r != "other"]
-            if small_level_policy != "merge" or len(rows) <= 2 or not candidates:
+            if small_level_policy != "merge" or len(rows) <= 2:
                 break
             # fold the thinnest level into "other" and retry
-            smallest = min(candidates, key=lambda r: tot[r])
-            rows.remove(smallest)
-            if "other" not in rows:
-                rows.append("other")
-                pos["other"] = 0
-                tot["other"] = 0
-            pos["other"] += pos.pop(smallest)
-            tot["other"] += tot.pop(smallest)
-            merged = merged + (smallest,)
+            smallest = min((r for r in rows if r != "other"), key=lambda r: rows[r][1])
+            pos, tot = rows.pop(smallest)
+            other_pos, other_tot = rows.get("other", (0, 0))
+            rows["other"] = (other_pos + pos, other_tot + tot)
+            merged += (smallest,)
+
+    stat = dof = p = argmax = None
+    if test is not None:
+        stat, dof, p = test
+        if p < 0.05:
+            argmax = max(rows, key=lambda r: rows[r][0] / rows[r][1])
     return CellResult(
         condition=condition,
         n_per_group=dict(totals),
         positives_per_group=dict(positives),
         proportion_per_group=props,
-        status="insufficient_data",
+        status="insufficient_data" if test is None else "tested",
         delta=delta,
+        chi_square=stat,
+        dof=dof,
+        p_value=p,
+        argmax_level=argmax,
         merged_levels=merged,
     )
 
@@ -259,7 +242,6 @@ def conditional_bias_report(
     dataset: Dataset,
     conditioning: Sequence[str],
     group_attr: str,
-    target_label: int = 1,
     mode: str = "joint",
     min_expected: float = 5.0,
     include_logistic: bool = True,
@@ -269,11 +251,15 @@ def conditional_bias_report(
     independence outcomes, plus a pooled logistic fit of the label on AU
     intensities and group indicators.
 
-    Delta convention: second declared group level minus first.
+    Label 1 is the positive class, against every other label. Delta
+    convention: second declared group level minus first.
     """
     levels = dataset.attribute_levels[group_attr]
+    if small_level_policy == "merge" and "other" in levels:
+        raise ValueError(f"group attribute {group_attr!r} has a level named "
+                         f"'other', the name of the merge bucket")
     codes = dataset.group_codes(group_attr)
-    y = (dataset.labels() == target_label).astype(int)
+    y = (dataset.labels() == 1).astype(int)
     cells = []
     for condition, mask in _cell_masks(dataset, conditioning, mode):
         totals = np.bincount(codes[mask], minlength=len(levels)).tolist()
@@ -296,7 +282,7 @@ def conditional_bias_report(
     return BiasReport(
         group_attr=group_attr,
         group_levels=tuple(levels),
-        target_label=target_label,
+        target_label=1,
         conditioning=tuple(sorted(conditioning, key=au_sort_key)),
         mode=mode,
         cells=tuple(cells),
@@ -313,7 +299,6 @@ def multi_group_bias_report(
     dataset: Dataset,
     conditioning: Sequence[str],
     group_attr: str,
-    target_label: int = 1,
     mode: str = "joint",
     min_expected: float = 5.0,
     small_level_policy: str = "insufficient",
@@ -329,7 +314,6 @@ def multi_group_bias_report(
         dataset,
         conditioning,
         group_attr,
-        target_label=target_label,
         mode=mode,
         min_expected=min_expected,
         include_logistic=False,
@@ -350,17 +334,16 @@ def bias_curves(
     dataset: Dataset,
     au_intensity_ids: Sequence[str],
     group_attr: str,
-    target_label: int = 1,
     grid: Sequence[float] = (),
 ) -> list[GroupCurve]:
-    """Per-group fitted logistic curves of P(Y=target | AU intensity) on
+    """Per-group fitted logistic curves of P(Y=1 | AU intensity) on
     the grid, with delta-method standard-error bands. Each AU is swept in
     turn with the remaining AUs held at their pooled mean."""
     grid = np.asarray(list(grid), dtype=float)
     if grid.size == 0:
         return []
     aus = sorted(au_intensity_ids, key=au_sort_key)
-    y = (dataset.labels() == target_label).astype(int)
+    y = (dataset.labels() == 1).astype(int)
     codes = dataset.group_codes(group_attr)
     means = {au: float(dataset.intensities(au).mean()) for au in aus}
     intensity = {au: dataset.intensities(au) for au in aus}

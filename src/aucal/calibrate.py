@@ -83,21 +83,15 @@ def accuracy_parity_check(
         totals[lvl] = int(mask.sum())
         acc[lvl] = correct[lvl] / totals[lvl]
         f1[lvl] = f1_score(pred[mask], truth[mask])
-    pairwise = _pairwise_p(correct, totals)
-    return ParityCheck(per_group_accuracy=acc, per_group_f1=f1,
-                       p_value=min(pairwise.values(), default=1.0),
-                       pairwise_p=pairwise)
-
-
-def _pairwise_p(correct: Mapping[str, int], totals: Mapping[str, int]) -> dict:
-    """Two-proportion z-test p-value of the accuracy counts for every
-    pair of the levels in correct, in their order."""
     levels = list(correct)
-    return {
+    pairwise = {
         (a, b): two_proportion_test(correct[a], totals[a], correct[b], totals[b])
         for i, a in enumerate(levels)
         for b in levels[i + 1:]
     }
+    return ParityCheck(per_group_accuracy=acc, per_group_f1=f1,
+                       p_value=min(pairwise.values(), default=1.0),
+                       pairwise_p=pairwise)
 
 
 def calibrate_per_group(
@@ -118,38 +112,27 @@ def calibrate_per_group(
         raise EmptyInput("no samples")
 
     g_thr, g_acc = calibrate_global(x, y)
-    levels = sorted(set(grp.tolist()))
-    thresholds, accs, f1s, raw_accs = {}, {}, {}, {}
-    correct, totals, raw_correct = {}, {}, {}
-    degenerate = []
-    for lvl in levels:
+    raw = accuracy_parity_check((x > g_thr).astype(int), y, grp)
+    thresholds = {}
+    cut = np.full(x.size, np.nan)  # each row's level threshold
+    for lvl in raw.per_group_accuracy:
         mask = grp == lvl
-        yl = y[mask]
-        xl = x[mask]
-        raw_pred = (xl > g_thr).astype(int)
-        raw_accs[lvl] = float(np.mean(raw_pred == yl))
-        raw_correct[lvl] = int(np.sum(raw_pred == yl))
-        totals[lvl] = int(mask.sum())
-        if yl.min(initial=1) == yl.max(initial=0):
-            degenerate.append(lvl)
-            continue
-        thr, acc = calibrate_global(xl, yl)
-        pred = (xl > thr).astype(int)
-        thresholds[lvl] = thr
-        accs[lvl] = acc
-        f1s[lvl] = f1_score(pred, yl)
-        correct[lvl] = int(np.sum(pred == yl))
-    raw_correct = {lvl: raw_correct[lvl] for lvl in levels if lvl not in degenerate}
+        if y[mask].min() != y[mask].max():
+            thresholds[lvl] = cut[mask] = calibrate_global(x[mask], y[mask])[0]
+    degenerate = tuple(lvl for lvl in raw.per_group_accuracy if lvl not in thresholds)
+    keep = ~np.isnan(cut)
+    fit = accuracy_parity_check((x[keep] > cut[keep]).astype(int), y[keep], grp[keep])
 
     return CalibrationResult(
         au_id=au_id,
         global_threshold=g_thr,
         global_accuracy=g_acc,
         per_group_thresholds=thresholds,
-        per_group_accuracy=accs,
-        per_group_f1=f1s,
-        parity_p_value=min(_pairwise_p(correct, totals).values(), default=1.0),
-        per_group_accuracy_raw=raw_accs,
-        raw_parity_p_value=min(_pairwise_p(raw_correct, totals).values(), default=1.0),
-        degenerate_levels=tuple(degenerate),
+        per_group_accuracy=fit.per_group_accuracy,
+        per_group_f1=fit.per_group_f1,
+        parity_p_value=fit.p_value,
+        per_group_accuracy_raw=raw.per_group_accuracy,
+        raw_parity_p_value=min((p for pair, p in raw.pairwise_p.items()
+                                if not set(pair) & set(degenerate)), default=1.0),
+        degenerate_levels=degenerate,
     )

@@ -5,7 +5,6 @@ eval,compare,demo}. Exit codes: 0 success, 1 validation/usage error,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -23,9 +22,9 @@ from .aucfer import (
     train_cross_entropy_only,
 )
 from .calibrate import calibrate_per_group
-from .data import (AU_MAX, AU_MIN, DEFAULT_THRESHOLD, CsvSchema, binarize,
-                   load_dataset, save_dataset)
-from .errors import AucalError, InvalidModel, IoError, ParseError
+from .data import (AU_MAX, AU_MIN, DEFAULT_THRESHOLD, CsvColumns, CsvSchema,
+                   binarize, load_dataset, save_dataset)
+from .errors import AucalError, InvalidModel, IoError
 from .metrics import build_fair_test_set, evaluate, summarize_runs
 from .relabel import relabel_to_parity
 from .report import (
@@ -158,24 +157,15 @@ def _cmd_synth(args) -> int:
 def _cmd_calibrate(args) -> int:
     # the calibration CSV carries AU intensities plus expert truth columns
     # named <AU>_true
-    with Path(args.data).open(newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
+    table = CsvColumns(args.data)
+    if not len(table):
         raise _UsageError(f"{args.data}: empty file")
-    for rownum, row in enumerate(rows, start=2):
-        # DictReader fills the fields a short row lacks with None
-        missing = [col for col, value in row.items() if value is None]
-        if missing:
-            raise ParseError(rownum, missing[0], "row has too few fields")
-    results = {}
-    for au in args.truth_cols.split(","):
-        truth_col = f"{au}_true"
-        if au not in rows[0] or truth_col not in rows[0]:
-            raise _UsageError(f"columns {au!r} and {truth_col!r} required")
-        intensities = [float(r[au]) for r in rows]
-        truth = [int(r[truth_col]) for r in rows]
-        groups = [r[args.group] for r in rows]
-        results[au] = calibrate_per_group(intensities, truth, groups, au_id=au)
+    groups = table.cells(args.group)
+    results = {
+        au: calibrate_per_group(table.intensity(au), table.bits(f"{au}_true"),
+                                groups, au_id=au)
+        for au in args.truth_cols.split(",")
+    }
     emit_json(results, args.out, report_header(input_path=args.data))
     print(f"wrote calibration for {sorted(results)} to {args.out}")
     return 0

@@ -267,6 +267,82 @@ class LoadResult:
     ignored_columns: list[str] = field(default_factory=list)
 
 
+class CsvColumns:
+    """A CSV file read column by column, its cells stripped of surrounding
+    whitespace. A row with fewer fields than the header, and a cell that
+    does not parse, raise ParseError naming the row (the header is row 1)
+    and the column."""
+
+    def __init__(self, path: str | Path):
+        with Path(path).open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                self.header = next(reader)
+            except StopIteration:
+                raise EmptyDataset(f"{path}: no header")
+            rows = list(reader)
+        widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        short = widths < len(self.header)
+        if short.any():
+            i = int(short.argmax())
+            raise ParseError(i + 2, self.header[widths[i]],
+                             f"row has {widths[i]} fields, header has {len(self.header)}")
+        self.index = {name: i for i, name in enumerate(self.header)}
+        self.rownums = np.arange(2, len(rows) + 2)
+        self._columns = list(zip(*rows)) if rows else [()] * len(self.header)
+        self._kept: list[bool] | None = None
+
+    def __len__(self) -> int:
+        return len(self.rownums)
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Read only the rows where rows is true from now on (call once)."""
+        self.rownums = self.rownums[rows]
+        self._kept = rows.tolist()
+
+    def cells(self, name: str) -> list[str]:
+        if name not in self.index:
+            raise MissingColumn(name)
+        column = self._columns[self.index[name]]
+        if self._kept is not None:
+            column = compress(column, self._kept)
+        return list(map(str.strip, column))
+
+    def reject(self, bad: np.ndarray, column: str,
+               message: str | Callable[[int], str]) -> None:
+        """ParseError at the first flagged row; message may take its index."""
+        if bad.any():
+            i = int(bad.argmax())
+            raise ParseError(int(self.rownums[i]), column,
+                             message(i) if callable(message) else message)
+
+    def parse(self, name: str, convert: Callable, dtype, column: str,
+              message: str) -> np.ndarray:
+        values = self.cells(name)
+        try:
+            return np.fromiter(map(convert, values), dtype=dtype, count=len(values))
+        except (ValueError, OverflowError):  # OverflowError: beyond int64
+            for rownum, value in zip(self.rownums.tolist(), values):
+                try:
+                    np.array(convert(value), dtype=dtype)
+                except (ValueError, OverflowError):
+                    raise ParseError(rownum, column, message) from None
+            raise
+
+    def intensity(self, name: str) -> np.ndarray:
+        """An AU intensity column: numbers in [AU_MIN, AU_MAX]."""
+        v = self.parse(name, float, float, name, "not a number")
+        self.reject(~((v >= AU_MIN) & (v <= AU_MAX)), name,
+                    lambda i: f"intensity {float(v[i])} outside [0, 5]")
+        return v
+
+    def bits(self, name: str) -> np.ndarray:
+        """A 0/1 column, such as AU presence or expert-coded truth."""
+        raw = np.array(self.cells(name))
+        self.reject((raw != "0") & (raw != "1"), name, "must be 0 or 1")
+        return raw == "1"
+
+
 def load_dataset(path: str | Path, schema: CsvSchema | None = None) -> LoadResult:
     """Load and validate a dataset CSV, column by column.
 
@@ -275,21 +351,13 @@ def load_dataset(path: str | Path, schema: CsvSchema | None = None) -> LoadResul
     intensities and non-finite features raise ParseError.
     """
     schema = schema or CsvSchema()
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyDataset(f"{path}: no header")
-        rows = list(reader)
-
-    col_idx = {name: i for i, name in enumerate(header)}
+    table = CsvColumns(path)
+    header = table.header
     for required in ("id", schema.label_col):
-        if required not in col_idx:
+        if required not in table.index:
             raise MissingColumn(required)
 
-    group_cols = [c for c in KNOWN_GROUP_COLUMNS if c in col_idx]
+    group_cols = [c for c in KNOWN_GROUP_COLUMNS if c in table.index]
     if not group_cols:
         raise MissingColumn("gender (no group column found)")
 
@@ -298,7 +366,7 @@ def load_dataset(path: str | Path, schema: CsvSchema | None = None) -> LoadResul
     )
     presence_cols = {
         au: f"{au}{PRESENCE_SUFFIX}" for au in au_cols
-        if f"{au}{PRESENCE_SUFFIX}" in col_idx
+        if f"{au}{PRESENCE_SUFFIX}" in table.index
     }
     feat_indices = {
         int(m.group(1)): c for c in header if (m := FEATURE_COLUMN_RE.match(c))
@@ -314,78 +382,44 @@ def load_dataset(path: str | Path, schema: CsvSchema | None = None) -> LoadResul
                   *au_cols, *presence_cols.values(), *feat_cols}
     ignored = [c for c in header if c not in recognized]
 
-    widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    short = widths < len(header)
-    if short.any():
-        i = int(short.argmax())
-        raise ParseError(i + 2, header[widths[i]],
-                         f"row has {widths[i]} fields, header has {len(header)}")
-    columns = list(zip(*rows)) if rows else [()] * len(header)
-    del rows
-
     # missing AU intensity -> drop (mirrors AU-detector failures)
-    keep = np.ones(len(widths), dtype=bool)
+    keep = np.ones(len(table), dtype=bool)
     for au in au_cols:
-        keep &= np.array(list(map(str.strip, columns[col_idx[au]]))) != ""
+        keep &= np.array(table.cells(au)) != ""
     if not keep.any():
         raise EmptyDataset(f"{path}: no usable rows")
-    rownums = np.flatnonzero(keep) + 2
-    kept = keep.tolist()
+    table.keep(keep)
 
-    def cells(name: str) -> list[str]:
-        return list(map(str.strip, compress(columns[col_idx[name]], kept)))
-
-    def reject(bad: np.ndarray, column: str, message: str | Callable[[int], str]):
-        """ParseError at the first flagged row; message may take its index."""
-        if bad.any():
-            i = int(bad.argmax())
-            raise ParseError(int(rownums[i]), column,
-                             message(i) if callable(message) else message)
-
-    def parse(name: str, convert: Callable, dtype, column: str, message: str):
-        values = cells(name)
-        try:
-            return np.fromiter(map(convert, values), dtype=dtype, count=len(values))
-        except (ValueError, OverflowError):  # OverflowError: beyond int64
-            for rownum, value in zip(rownums.tolist(), values):
-                try:
-                    np.array(convert(value), dtype=dtype)
-                except (ValueError, OverflowError):
-                    raise ParseError(rownum, column, message) from None
-            raise
-
-    intensity = np.empty((len(rownums), len(au_cols)))
+    intensity = np.empty((len(table), len(au_cols)))
     for j, au in enumerate(au_cols):
-        v = intensity[:, j] = parse(au, float, float, au, "not a number")
-        reject(~((v >= AU_MIN) & (v <= AU_MAX)), au,
-               lambda i: f"intensity {float(v[i])} outside [0, 5]")
+        intensity[:, j] = table.intensity(au)
 
     presence = np.zeros(intensity.shape, dtype=np.uint8)
     for au, col in presence_cols.items():
-        raw = np.array(cells(col))
-        reject((raw != "0") & (raw != "1"), col, "presence must be 0/1")
-        presence[:, au_cols.index(au)] = raw == "1"
+        presence[:, au_cols.index(au)] = table.bits(col)
 
-    label = parse(schema.label_col, int, np.int64, schema.label_col, "not an integer")
+    label = table.parse(schema.label_col, int, np.int64, schema.label_col,
+                        "not an integer")
 
     levels, codes = {}, {}
     for g in group_cols:
-        values, codes[g] = np.unique(np.array(cells(g)), return_inverse=True)
+        values, codes[g] = np.unique(np.array(table.cells(g)), return_inverse=True)
         levels[g] = tuple(values.tolist())
 
-    features = np.empty((len(rownums), feature_dim))
+    features = np.empty((len(table), feature_dim))
     for j, c in enumerate(feat_cols):
-        features[:, j] = parse(c, float, float, "f*", "feature not a number")
-        reject(~np.isfinite(features[:, j]), c, "feature not finite")
+        features[:, j] = table.parse(c, float, float, "f*", "feature not a number")
+        table.reject(~np.isfinite(features[:, j]), c, "feature not finite")
 
-    split = np.array(cells("split") if "split" in col_idx else [""] * len(rownums))
-    reject((split != "") & (split != "train") & (split != "test"),
-           "split", "split must be train/test")
+    split = np.array(table.cells("split") if "split" in table.index
+                     else [""] * len(table))
+    table.reject((split != "") & (split != "train") & (split != "test"),
+                 "split", "split must be train/test")
 
     dataset = Dataset(
         au_ids=tuple(au_cols),
         attribute_levels=levels,
-        ids=np.array(cells("id"), dtype=str),
+        ids=np.array(table.cells("id"), dtype=str),
         intensity=intensity,
         presence=presence,
         binarized=frozenset(presence_cols),
@@ -394,8 +428,8 @@ def load_dataset(path: str | Path, schema: CsvSchema | None = None) -> LoadResul
         features=features,
         is_test=split == "test",
     )
-    dropped = len(widths) - len(rownums)
-    return LoadResult(dataset=dataset, dropped_rows=dropped, ignored_columns=ignored)
+    return LoadResult(dataset=dataset, dropped_rows=keep.size - len(table),
+                      ignored_columns=ignored)
 
 
 def save_dataset(

@@ -19,7 +19,6 @@ from .rng import Rng
 
 EASY_LOW_DEFAULT = 1e-5
 EASY_HIGH_DEFAULT = 0.99999
-EASY_LOW_ANGER = 0.05
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,6 @@ def build_fair_test_set(
     dataset: Dataset,
     scores: Sequence[float],
     group_attr: str,
-    target_label: int = 1,
     easy_low: float = EASY_LOW_DEFAULT,
     easy_high: float | None = EASY_HIGH_DEFAULT,
     conditioning: Sequence[str] = (),
@@ -111,8 +109,9 @@ def build_fair_test_set(
 
     easy_high=None disables the upper prune (the low-only variant used for
     the angry task). mode 'balance_positive_rate' equalizes P(Y=1 | group)
-    by down-sampling the over-represented (group, label) stratum;
-    'balance_cell_counts' equalizes per-(AU cell x group) counts.
+    by down-sampling the over-represented (group, label) stratum, with label
+    1 the positive class against every other label; 'balance_cell_counts'
+    equalizes per-(AU cell x group) counts.
     """
     s = np.asarray(scores, dtype=float)
     if s.size != len(dataset):
@@ -126,7 +125,7 @@ def build_fair_test_set(
     kept_idx = np.where(keep)[0]
     pruned = dataset.subset(kept_idx.tolist())
 
-    y = (pruned.labels() == target_label).astype(int)
+    y = (pruned.labels() == 1).astype(int)
     codes = pruned.group_codes(group_attr)
     levels = pruned.attribute_levels[group_attr]
     present = np.unique(codes)  # the levels left after pruning
@@ -181,14 +180,14 @@ def evaluate(
     test_dataset: Dataset,
     group_attr: str,
     positive_group: str,
-    target_label: int = 1,
 ) -> EvalResult:
     """Threshold the scores for maximum accuracy, then report accuracy,
-    F1, per-group positive rates, and both Disc forms."""
+    F1, per-group positive rates, and both Disc forms. Label 1 is the
+    positive class, against every other label."""
     s = np.asarray(scores, dtype=float)
     if s.size != len(test_dataset):
         raise Misaligned(f"{s.size} scores for {len(test_dataset)} records")
-    y = (test_dataset.labels() == target_label).astype(int)
+    y = (test_dataset.labels() == 1).astype(int)
     codes = test_dataset.group_codes(group_attr)
     levels = test_dataset.attribute_levels[group_attr]
     threshold, accuracy = select_threshold(s, y)

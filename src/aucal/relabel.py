@@ -39,7 +39,6 @@ def relabel_to_parity(
     dataset: Dataset,
     conditioning: Sequence[str],
     group_attr: str,
-    target_label: int = 1,
     seed: int = 0,
 ) -> tuple[Dataset, FlipLog]:
     """Flip labels within each AU cell until every group's positive
@@ -47,14 +46,15 @@ def relabel_to_parity(
 
     Groups above the pooled target have round(n_g * (p_g - p*)) positives
     flipped negative; groups below get the mirror-image flips. Flip targets
-    are sampled uniformly within the eligible stratum.
+    are sampled uniformly within the eligible stratum. Label 1 is the
+    positive class; a flipped row takes label 0 or 1, the others keep theirs.
     """
     keys = dataset.cell_keys(sorted(conditioning, key=au_sort_key))
     levels = dataset.attribute_levels[group_attr]
     if len(levels) < 2:
         raise ValueError("need at least two group levels")
     codes = dataset.group_codes(group_attr)
-    y = (dataset.labels() == target_label).astype(int)
+    y = (dataset.labels() == 1).astype(int)
 
     rng = Rng(seed, ("relabel",))
     log = FlipLog()
@@ -94,11 +94,7 @@ def relabel_to_parity(
                 for record_id in dataset.ids[chosen].tolist()
             )
 
-    # map the binary target back onto the stored labels (binary datasets)
-    other = 0 if target_label != 0 else 1
-    labels = dataset.labels()
-    new_labels = np.where(new_y == y, labels,
-                          np.where(new_y == 1, target_label, other))
+    new_labels = np.where(new_y == y, dataset.labels(), new_y)
     return dataset.with_labels(new_labels), log
 
 

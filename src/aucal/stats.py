@@ -121,10 +121,6 @@ def chi2_sf(x: float, dof: int) -> float:
     return reg_upper_gamma(dof / 2.0, x / 2.0)
 
 
-def normal_cdf(z: float) -> float:
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
 def sigmoid(eta: np.ndarray) -> np.ndarray:
     """Logistic function, with eta clipped to [-35, 35] against overflow."""
     return 1.0 / (1.0 + np.exp(-np.clip(eta, -35.0, 35.0)))
@@ -138,7 +134,6 @@ class ContingencyTable:
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
     counts: np.ndarray
-    cell_condition: str = ""
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64)
@@ -151,10 +146,6 @@ class ContingencyTable:
             raise InvalidCounts("need at least 2 rows and 2 columns")
         if (counts < 0).any():
             raise InvalidCounts("counts must be nonnegative")
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 def chi_square_independence(
@@ -203,8 +194,7 @@ def two_proportion_test(k1: int, n1: int, k2: int, n2: int) -> float:
 
 
 def table_from_counts(
-    levels: Sequence[str], positives: Sequence[int], totals: Sequence[int],
-    condition: str = "",
+    levels: Sequence[str], positives: Sequence[int], totals: Sequence[int]
 ) -> ContingencyTable:
     """Rows = group levels, columns = (positive, negative)."""
     pos = np.asarray(positives, dtype=np.int64)
@@ -214,5 +204,4 @@ def table_from_counts(
         row_labels=tuple(levels),
         col_labels=("positive", "negative"),
         counts=counts,
-        cell_condition=condition,
     )

@@ -20,7 +20,7 @@ from scipy.special import ndtr, ndtri
 from .data import AU_MAX, AU_MIN, DEFAULT_THRESHOLD, AuCellKey, Dataset, au_sort_key
 from .errors import InvalidConfig
 from .rng import Rng
-from .stats import normal_cdf, sigmoid
+from .stats import sigmoid
 
 
 @dataclass(frozen=True)
@@ -189,12 +189,12 @@ def _region(config: SynthConfig, au: str, bit: int) -> tuple[float, float]:
 
 
 def _truncnorm_norm(mean: float, std: float) -> float:
-    return normal_cdf((AU_MAX - mean) / std) - normal_cdf((AU_MIN - mean) / std)
+    return ndtr((AU_MAX - mean) / std) - ndtr((AU_MIN - mean) / std)
 
 
 def _region_prob(mean: float, std: float, lo: float, hi: float) -> float:
     z = _truncnorm_norm(mean, std)
-    return (normal_cdf((hi - mean) / std) - normal_cdf((lo - mean) / std)) / z
+    return (ndtr((hi - mean) / std) - ndtr((lo - mean) / std)) / z
 
 
 def expected_cell_proportions(
