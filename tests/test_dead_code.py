@@ -50,7 +50,7 @@ def unreferenced(modules: dict[str, str], others: list[str]) -> list[str]:
     """'module: name' for each definition in modules (file name -> source)
     that no source in modules or others refers to outside the definition."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
-    every = [*trees.values(), *map(ast.parse, others)]  # alive while ids are
+    every = [*trees.values(), *map(ast.parse, others)]  # alive, so ids stay unique
     refs, skip = Counter(), set()
     for tree in every:
         skip |= _docstrings(tree)

@@ -72,7 +72,8 @@ HEADER = ["id", "AU6", "AU12", "AU6_true", "AU12_true", "label", "gender",
 INTENSITY = st.floats(0.0, 5.0).map(lambda v: f"{v:.3f}")
 FEATURE = st.floats(-3.0, 3.0).map(lambda v: f"{v:.3f}")
 BIT = st.sampled_from(["0", "1"])
-VALID = [st.none(), INTENSITY, INTENSITY, BIT, BIT, st.sampled_from(["0", "1", "2"]),
+# a valid cell for each column after id
+VALID = [INTENSITY, INTENSITY, BIT, BIT, st.sampled_from(["0", "1", "2"]),
          st.sampled_from(["F", "M"]), st.sampled_from(["train", "test"]),
          FEATURE, FEATURE]
 BAD = st.sampled_from(["", " ", "x", "nan", "inf", "-1", "9.0", "7", "1.5", " 1 ",
@@ -87,7 +88,7 @@ def csv_text(draw):
     writer = csv.writer(out)
     writer.writerow(HEADER)
     for i in range(draw(st.integers(0, 12))):
-        row = [f"r{i}" if valid is None else draw(valid) for valid in VALID]
+        row = [f"r{i}", *(draw(valid) for valid in VALID)]
         row = [draw(BAD) if draw(st.integers(0, 19)) == 0 else cell for cell in row]
         if draw(st.integers(0, 19)) == 0:
             row = row[:draw(st.integers(0, len(row) - 1))]

@@ -1,6 +1,7 @@
 """Inputs that used to give a wrong or unlabelled result and now end in a
 typed error with exit code 1: a group level named like the merge bucket,
-and calibration CSV cells that the dataset loader would not accept."""
+and calibration CSV cells that the dataset loader would not accept. Also,
+calibration group values are stripped of whitespace, as the loader's are."""
 
 import json
 
