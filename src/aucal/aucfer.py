@@ -50,7 +50,7 @@ class TrainConfig:
     d_emb: int = 16
     seed: int = 0
     max_triplets_per_anchor: int = 64
-    triplet_reduction: str = "sum"  # "sum" | "mean"
+    triplet_reduction: str = "mean"  # "sum" | "mean"
 
     def __post_init__(self):
         if self.batch_size < 2:
@@ -78,12 +78,12 @@ def mine_triplets(
 ) -> TripletSet:
     """All (anchor, positive, negative) index triples where anchor and
     positive share an AU key and the negative differs; anchors whose valid
-    count exceeds cap keep a uniform subsample of size cap. Triples are
-    anchor-major (keys in strata order, anchors in row order), pairs are
-    numbered positive-major with the anchor skipped, and each capped anchor
-    takes one choice(count, cap, replace=False) draw, in that order."""
+    count exceeds cap keep cap pairs drawn uniformly with replacement.
+    Triples are anchor-major (keys in strata order, anchors in row order),
+    pairs are numbered positive-major with the anchor skipped, and each
+    capped key takes one integers(0, count, (m, cap)) draw, in that order."""
     codes = CellKeys.of(batch_au_keys).codes
-    gen = rng.generator()  # anchors are visited in a fixed order
+    gen = rng.generator()  # keys are visited in a fixed order
     blocks = [np.zeros((0, 3), dtype=np.int64)]
     for code, members in strata(codes):
         negatives = np.flatnonzero(codes != code)
@@ -92,7 +92,7 @@ def mine_triplets(
         if count == 0:
             continue
         flat = (np.broadcast_to(np.arange(count), (m, count)) if count <= cap else
-                np.array([gen.choice(count, cap, replace=False) for _ in range(m)]))
+                gen.integers(0, count, (m, cap)))
         q = flat // n_neg  # skip the anchor: positives at or past its rank shift
         trio = (np.broadcast_to(members[:, None], flat.shape),
                 members[q + (q >= np.arange(m)[:, None])], negatives[flat % n_neg])
@@ -109,17 +109,19 @@ def triplet_loss(
     """Hinge on squared-distance gaps, summed over mined triples (or
     averaged with reduction='mean'); returns the loss and its gradient
     with respect to the embeddings. Distances come from one batch-level
-    matrix; each gradient entry sums the active triples' anchor, then
-    positive, then negative terms, each in triple order."""
+    matrix. The gradient is 2 * scale * C @ embeddings, where each active
+    triple (a, p, n) adds +1 at C[a, n], C[p, p], C[n, a] and -1 at
+    C[a, p], C[p, a], C[n, n]."""
     emb = np.asarray(embeddings, dtype=float)
     t = triplets.triples
     if t.size == 0:
         return 0.0, np.zeros_like(emb)
-    if t.min() < 0 or t.max() >= emb.shape[0]:
+    b = emb.shape[0]
+    if t.min() < 0 or t.max() >= b:
         raise IndexOutOfRange("triplet index outside the batch")
-    dist = np.empty((len(emb), len(emb)))
+    dist = np.empty((b, b))
     rows = max(1, (1 << 20) // max(emb.size, 1))  # temporaries stay <= 8 MB
-    for lo in range(0, len(emb), rows):
+    for lo in range(0, b, rows):
         dist[lo:lo + rows] = ((emb[lo:lo + rows, None] - emb[None]) ** 2).sum(axis=2)
     hinge = dist[t[:, 0], t[:, 1]] - dist[t[:, 0], t[:, 2]] + margin
     active = hinge > 0
@@ -129,14 +131,11 @@ def triplet_loss(
         scale = 1.0 / len(t)
         loss *= scale
     a, p, n = t[active].T
-    ea, ep, en = emb[a], emb[p], emb[n]
-    # ep - ea is exactly -(ea - ep), and the sums start at +0.0, so a zero's
-    # sign cannot reach the result
-    terms = 2.0 * np.concatenate((en - ep, ep - ea, ea - en)) * scale
-    cols = np.arange(emb.shape[1])
-    slots = np.concatenate((a, p, n))[:, None] * cols.size + cols
-    grad = np.bincount(slots.ravel(), terms.ravel(), minlength=emb.size)
-    return loss, grad.reshape(emb.shape)
+    slots = np.concatenate((a * b + n, p * b + p, n * b + a,
+                            a * b + p, p * b + a, n * b + n))
+    signs = np.repeat((1.0, -1.0), 3 * a.size)
+    coef = np.bincount(slots, signs, minlength=b * b).reshape(b, b)
+    return loss, (2.0 * scale) * (coef @ emb)
 
 
 def cross_entropy(
@@ -279,11 +278,20 @@ def _prepare(dataset: Dataset, config: TrainConfig, conditioning: Sequence[str])
     return x, y, keys, rng, TrainResult(params=params)
 
 
+# a mean cross-entropy this many times a uniform guess's (ln of the class
+# count) means the logits have blown up, though they may still be finite
+_CE_BLOWUP = 100.0
+
+
 def _record_epoch(result: TrainResult, epoch: int, mean: LossBreakdown) -> None:
     p = result.params
     if not all(np.isfinite(v).all() for v in (mean.total, p.W1, p.b1, p.W2, p.b2)):
         raise Diverged(f"training diverged in epoch {epoch + 1}: loss {mean.total}"
                        f" or parameters not finite; lower the learning rate")
+    if mean.cross_entropy > _CE_BLOWUP * np.log(p.W2.shape[1]):
+        raise Diverged(f"training diverged in epoch {epoch + 1}: cross-entropy "
+                       f"{mean.cross_entropy:.4g} is over {_CE_BLOWUP:g} times a "
+                       f"uniform guess's; lower the learning rate")
     result.loss_trace.append(mean)
     result.triplet_count_trace.append(mean.n_triplets)
 
@@ -292,7 +300,8 @@ def train(
     dataset: Dataset, config: TrainConfig, conditioning: Sequence[str]
 ) -> TrainResult:
     """Deterministic minibatch SGD on the combined objective; Diverged
-    once an epoch's loss or the parameters are not finite."""
+    once an epoch's loss or the parameters are not finite, or its mean
+    cross-entropy is over _CE_BLOWUP times a uniform guess's."""
     x, y, keys, rng, result = _prepare(dataset, config, conditioning)
     params = result.params
     for epoch in range(config.epochs):

@@ -17,6 +17,7 @@ from .audit import bias_curves, conditional_bias_report
 from .aucfer import (
     ModelParams,
     TrainConfig,
+    TrainResult,
     predict,
     train,
     train_cross_entropy_only,
@@ -82,20 +83,18 @@ def _load_data(args):
 _JSON_NAME = {"lam": "lambda"}
 
 
-def _save_model(params: ModelParams, config: TrainConfig, path) -> None:
-    # triplet_reduction stays out, so saved models keep their exact bytes
-    fields = dataclasses.asdict(config)
-    del fields["triplet_reduction"]
+def _save_model(result: TrainResult, config: TrainConfig, path) -> None:
+    # the whole config reproduces the weights and the per-epoch trace
+    params = result.params
     payload = {
         "header": report_header(seed=config.seed),
         "d_in": params.W1.shape[0],
         "d_emb": params.W1.shape[1],
         "n_classes": params.W2.shape[1],
-        "W1": params.W1,
-        "b1": params.b1,
-        "W2": params.W2,
-        "b2": params.b2,
-        "config": {_JSON_NAME.get(k, k): v for k, v in fields.items()},
+        **vars(params),  # W1, b1, W2, b2
+        "config": {_JSON_NAME.get(k, k): v for k, v in dataclasses.asdict(config).items()},
+        "trace": {k: [getattr(e, k) for e in result.loss_trace]
+                  for k in ("cross_entropy", "triplet", "n_triplets")},
     }
     Path(path).write_text(canonical_json(payload) + "\n", encoding="utf-8")
 
@@ -224,7 +223,7 @@ def _cmd_train(args) -> int:
         result = train_cross_entropy_only(dataset, config, aus)
     else:
         result = train(dataset, config, aus)
-    _save_model(result.params, config, args.out)
+    _save_model(result, config, args.out)
     final = result.loss_trace[-1]
     print(
         f"trained {config.epochs} epochs, final loss {final.total:.4f} "
@@ -341,8 +340,8 @@ def _cmd_demo(args) -> int:
     fair_cfg = TrainConfig(epochs=epochs, seed=args.seed, triplet_reduction="mean")
     baseline = train(dataset, base_cfg, aus)
     aucfer = train(dataset, fair_cfg, aus)
-    _save_model(baseline.params, base_cfg, out / "model_baseline.json")
-    _save_model(aucfer.params, fair_cfg, out / "model_aucfer.json")
+    _save_model(baseline, base_cfg, out / "model_baseline.json")
+    _save_model(aucfer, fair_cfg, out / "model_aucfer.json")
 
     test = dataset.split_part("test")
     ref_scores, _ = predict(baseline.params, test.feature_matrix())

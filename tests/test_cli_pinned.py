@@ -62,5 +62,4 @@ def test_train_defaults_are_train_config_defaults(tmp_path):
                 "--out", str(model)]) == 0
     expected = dataclasses.asdict(TrainConfig())
     expected["lambda"] = expected.pop("lam")
-    del expected["triplet_reduction"]  # saved models leave it out
     assert json.loads(model.read_text(encoding="utf-8"))["config"] == expected

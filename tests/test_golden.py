@@ -14,13 +14,13 @@ GOLDEN = {
     "audit_before.csv": "9a22ec8c0a58bb96f288d99a45195ee7afebc60629543f205d851dce9286059d",
     "audit_before.json": "4c1161d7bbe39a53edec2a25ae29145881531a701f603ccabf146e374a955a09",
     "data.csv": "dc66e6f4a605cd9517d88ecf017a8648f6f599816063fc3807274d811e54e690",
-    "eval_aucfer.json": "5a8153d4ca430fc5e2c323085cfc8d19fe213bef9e542c7e6a03a924e1285206",
+    "eval_aucfer.json": "cffb986981117f073d1ec9db544cf8fc7bc1b0928bdbc67bfefc9c3a189e3fdb",
     "eval_baseline.json": "32010983ee1b17dc5a5dc90d57f4e9bcf519e9ba3c037e474b9825fbca227512",
     "flips.json": "3247136fcc9fea223b2f30a83e644f557c5bf015145e2043169ecc12077da05d",
-    "model_aucfer.json": "7064273804dbfd8d3ada8825118733664363cd52d8550a6b8bc437f4b346d110",
-    "model_baseline.json": "791b461de09e5405413013cf2a2b93becdc28aeb4b3fc9a9802449ec1bf16c5c",
+    "model_aucfer.json": "a3348ffb89f5e3381e73e49192818004e6d100636d10770952963a42efe92419",
+    "model_baseline.json": "d4b128567090af83555b2d30db58db70f7503a4958442fb643e7392d3406385c",
     "relabeled.csv": "c7693227ecf6b80da9c3c4dcfde24a20b94e2768c94a9ad51844db82a14e1c90",
-    "summary.csv": "b66422598b2caba432391b9c032659ed06325018c2431f5ba6a64de32d162564",
+    "summary.csv": "8730c82db2ec0909ead61f12a15bf448a75f0d59b489cb9bb4d8781bd5d4ff35",
 }
 
 

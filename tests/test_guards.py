@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from aucal.aucfer import TrainConfig, predict, train, train_cross_entropy_only
-from aucal.cli import _load_binarized, run
+from aucal.cli import _load_binarized, demo_synth_config, run
 from aucal.data import binarize, save_dataset
 from aucal.errors import Diverged
 from aucal.metrics import evaluate, summarize_runs
@@ -33,9 +33,37 @@ def _make_data(tmp_path, n=600):
 
 @pytest.mark.parametrize("trainer", [train, train_cross_entropy_only])
 def test_diverging_training_raises_naming_the_epoch(trainer):
-    config = TrainConfig(lam=0.0, learning_rate=1e30, epochs=5)
-    with pytest.raises(Diverged, match="epoch 4"), np.errstate(all="ignore"):
+    # the first update overflows, so epoch 1's loss is already NaN
+    config = TrainConfig(lam=0.0, learning_rate=1e300, epochs=5)
+    with (pytest.raises(Diverged, match="epoch 1: loss nan"),
+          np.errstate(all="ignore")):
         trainer(_dataset(400), config, ["AU6", "AU12"])
+
+
+def _blow_up_data():
+    """400 demo rows on which lr 500 sends the cross-entropy of epoch 1
+    past 1e5 in both trainers while it stays finite."""
+    return binarize(generate(demo_synth_config(7, 400)).dataset,
+                    {"AU6": 2.5, "AU12": 2.5})
+
+
+@pytest.mark.parametrize("trainer", [train, train_cross_entropy_only])
+def test_finite_blow_up_raises(trainer):
+    config = TrainConfig(lam=10.0, learning_rate=500.0, epochs=5)
+    with pytest.raises(Diverged, match="epoch 1: cross-entropy"):
+        trainer(_blow_up_data(), config, ["AU6", "AU12"])
+
+
+@pytest.mark.parametrize("extra", [[], ["--baseline"]])
+def test_train_cli_exits_1_on_finite_blow_up(tmp_path, capsys, extra):
+    data, model = tmp_path / "data.csv", tmp_path / "model.json"
+    save_dataset(_blow_up_data(), data)
+    code = run(["train", "--data", str(data), "--condition", "AU6,AU12",
+                "--lambda", "10", "--lr", "500", "--epochs", "5",
+                "--out", str(model), *extra])
+    assert code == 1
+    assert "diverged in epoch 1: cross-entropy" in capsys.readouterr().err
+    assert not model.exists()
 
 
 def test_train_cli_exits_1_on_divergence(tmp_path, capsys):
@@ -96,6 +124,27 @@ def test_compare_honours_triplet_settings(tmp_path):
     test = dataset.split_part("test")
     scores, _ = predict(trained.params, test.feature_matrix())
     want = summarize_runs("m", [evaluate(scores, test, "gender", "F")])
+    assert out.read_text(encoding="utf-8") == summaries_csv([want])
+
+
+def test_compare_honours_sum_reduction(tmp_path):
+    # sum is no longer the default, so a spec that names it must get it
+    data = _make_data(tmp_path, n=800)
+    model = {"name": "m", "epochs": 1, "triplet_reduction": "sum",
+             "max_triplets_per_anchor": 2, "learning_rate": 0.01}
+    code, out = _compare(tmp_path, data, [model])
+    assert code == 0
+
+    dataset, _ = _load_binarized(data, "label", "AU6,AU12", {})
+    test = dataset.split_part("test")
+    scores = {}
+    for reduction in ("sum", "mean"):
+        config = TrainConfig(epochs=1, seed=0, triplet_reduction=reduction,
+                             max_triplets_per_anchor=2, learning_rate=0.01)
+        trained = train(dataset, config, ["AU6", "AU12"])
+        scores[reduction], _ = predict(trained.params, test.feature_matrix())
+    assert not np.array_equal(scores["sum"], scores["mean"])
+    want = summarize_runs("m", [evaluate(scores["sum"], test, "gender", "F")])
     assert out.read_text(encoding="utf-8") == summaries_csv([want])
 
 

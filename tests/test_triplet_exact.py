@@ -1,11 +1,18 @@
-"""The batch-level triplet term against the per-anchor reference.
+"""The batch-level triplet term against per-anchor and per-triple references.
 
-`_reference_mine` and `_reference_loss` are the per-anchor miner and the
-three-scatter loss that the batch-level code replaced. The batch-level
-`mine_triplets` must return the same triples in the same order from the
-same random stream, and `triplet_loss` must return the same loss and the
-same gradient, bit for bit: the trained models, and so the golden
-digests, depend on every bit.
+`_reference_mine` walks anchors one at a time; a capped AU key makes one
+integers(0, count, (m, cap)) draw and anchor i takes row i of it. The
+batch-level `mine_triplets` must return the same triples in the same
+order from the same random stream: the trained models, and so the golden
+digests, depend on every draw.
+
+`triplet_loss` takes its gradient as 2 * scale * C @ embeddings, with C
+the B x B coefficient matrix of the active triples. `_reference_coef`
+builds C one triple at a time, so the gradient must match it bit for
+bit. `_reference_scatter` is the per-triple three-scatter gradient; the
+two sum the same terms in another order, so they agree to within float64
+rounding: per entry, eps * k * (the sum of the absolute terms of both
+computations), with k the largest number of terms one entry can sum.
 """
 
 import numpy as np
@@ -18,6 +25,7 @@ from aucal.rng import Rng
 
 AUS = ("AU1", "AU4", "AU6", "AU12")
 CAPS = (1, 7, 64, 10**9)
+EPS = np.finfo(float).eps
 
 
 def _reference_mine(batch_au_keys, cap, rng):
@@ -25,52 +33,67 @@ def _reference_mine(batch_au_keys, cap, rng):
     gen = rng.generator()
     triples = []
     for code, members in strata(codes):
-        if members.size < 2:
-            continue
         negatives = np.flatnonzero(codes != code)
-        if negatives.size == 0:
+        count = (members.size - 1) * negatives.size
+        if count == 0:
             continue
-        for anchor in members.tolist():
+        draws = gen.integers(0, count, (members.size, cap)) if count > cap else None
+        for i, anchor in enumerate(members.tolist()):
             positives = members[members != anchor]
-            count = positives.size * negatives.size
-            if count <= cap:
+            if draws is None:
                 pj, nk = np.meshgrid(positives, negatives, indexing="ij")
                 pj, nk = pj.ravel(), nk.ravel()
             else:
-                flat = gen.choice(count, size=cap, replace=False)
-                pj = positives[flat // negatives.size]
-                nk = negatives[flat % negatives.size]
+                pj = positives[draws[i] // negatives.size]
+                nk = negatives[draws[i] % negatives.size]
             triples.append(np.column_stack((np.full(pj.size, anchor), pj, nk)))
     if not triples:
         return TripletSet(np.zeros((0, 3), dtype=np.int64))
     return TripletSet(np.concatenate(triples, axis=0))
 
 
-def _reference_loss(embeddings, triplets, margin, reduction="sum"):
-    emb = np.asarray(embeddings, dtype=float)
-    grad = np.zeros_like(emb)
+def _active(emb, t, margin):
+    a, p, n = emb[t[:, 0]], emb[t[:, 1]], emb[t[:, 2]]
+    hinge = ((a - p) ** 2).sum(axis=1) - ((a - n) ** 2).sum(axis=1) + margin
+    return t[hinge > 0], float(hinge[hinge > 0].sum())
+
+
+def _reference_coef(emb, t, margin):
+    b = len(emb)
+    coef = np.zeros((b, b))
+    for a, p, n in _active(emb, t, margin)[0].tolist():
+        for row, col, sign in ((a, n, 1), (p, p, 1), (n, a, 1),
+                               (a, p, -1), (p, a, -1), (n, n, -1)):
+            coef[row, col] += sign
+    return coef
+
+
+def _reference_scatter(emb, t, margin, scale):
+    """The three-scatter gradient and, per entry, the sum of the absolute
+    values of the terms it added up."""
+    ta = _active(emb, t, margin)[0]
+    grad, absolute = np.zeros_like(emb), np.zeros_like(emb)
+    for rows, terms in ((ta[:, 0], 2.0 * (emb[ta[:, 2]] - emb[ta[:, 1]]) * scale),
+                        (ta[:, 1], -2.0 * (emb[ta[:, 0]] - emb[ta[:, 1]]) * scale),
+                        (ta[:, 2], 2.0 * (emb[ta[:, 0]] - emb[ta[:, 2]]) * scale)):
+        np.add.at(grad, rows, terms)
+        np.add.at(absolute, rows, np.abs(terms))
+    return grad, absolute, len(ta)
+
+
+def _check_loss(emb, triplets, margin, reduction):
     t = triplets.triples
-    if t.size == 0:
-        return 0.0, grad
-    a, p, nn = emb[t[:, 0]], emb[t[:, 1]], emb[t[:, 2]]
-    d_ap = ((a - p) ** 2).sum(axis=1)
-    d_an = ((a - nn) ** 2).sum(axis=1)
-    hinge = d_ap - d_an + margin
-    active = hinge > 0
-    loss = float(hinge[active].sum())
-    scale = 1.0
-    if reduction == "mean":
-        scale = 1.0 / len(t)
-        loss *= scale
-    if active.any():
-        ta = t[active]
-        ga = 2.0 * (emb[ta[:, 2]] - emb[ta[:, 1]]) * scale
-        gp = -2.0 * (emb[ta[:, 0]] - emb[ta[:, 1]]) * scale
-        gn = 2.0 * (emb[ta[:, 0]] - emb[ta[:, 2]]) * scale
-        np.add.at(grad, ta[:, 0], ga)
-        np.add.at(grad, ta[:, 1], gp)
-        np.add.at(grad, ta[:, 2], gn)
-    return loss, grad
+    loss, grad = triplet_loss(emb, triplets, margin, reduction)
+    scale = 1.0 / len(t) if reduction == "mean" and len(t) else 1.0
+    assert loss == _active(emb, t, margin)[1] * scale
+
+    coef = _reference_coef(emb, t, margin)
+    assert np.array_equal(grad, (2.0 * scale) * (coef @ emb))
+
+    ref, absolute, n_active = _reference_scatter(emb, t, margin, scale)
+    k = 3 * n_active + len(emb)
+    bound = EPS * k * (absolute + (2.0 * scale) * (np.abs(coef) @ np.abs(emb)))
+    assert np.all(np.abs(grad - ref) <= bound)
 
 
 def _key(code):
@@ -109,10 +132,7 @@ def test_batch_level_triplet_term_matches_reference(batch, cap, reduction,
     emb = gen.normal(0.0, 1.0, (len(keys), d))
     # repeated rows give exact distance ties, so some hinges sit on the margin
     emb[gen.integers(0, len(keys), len(keys) // 4)] = emb[0]
-    loss, grad = triplet_loss(emb, got, margin, reduction)
-    ref_loss, ref_grad = _reference_loss(emb, want, margin, reduction)
-    assert loss == ref_loss
-    assert np.array_equal(grad, ref_grad)
+    _check_loss(emb, got, margin, reduction)
 
 
 def test_single_key_and_singleton_batches_mine_nothing():
@@ -131,7 +151,4 @@ def test_distance_blocks_match_reference():
     keys = [_key(code) for code in gen.integers(0, 16, 301)]
     emb = gen.normal(0.0, 1.0, (301, 1000))
     triplets = mine_triplets(keys, 7, Rng(5, ("mine",)))
-    loss, grad = triplet_loss(emb, triplets, 50.0)
-    ref_loss, ref_grad = _reference_loss(emb, triplets, 50.0)
-    assert loss == ref_loss
-    assert np.array_equal(grad, ref_grad)
+    _check_loss(emb, triplets, 50.0, "sum")
