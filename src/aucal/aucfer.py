@@ -209,21 +209,10 @@ def total_loss(
     relu_mask = (emb > 0).astype(float)
     d_hidden = d_emb * relu_mask
 
-    grads = ModelParams(
-        W1=x.T @ d_hidden,
-        b1=d_hidden.sum(axis=0),
-        W2=emb.T @ d_logits,
-        b2=d_logits.sum(axis=0),
-    )
-    return (
-        LossBreakdown(
-            total=ce + config.lam * trp,
-            cross_entropy=ce,
-            triplet=trp,
-            n_triplets=n_triplets,
-        ),
-        grads,
-    )
+    grads = ModelParams(W1=x.T @ d_hidden, b1=d_hidden.sum(axis=0),
+                        W2=emb.T @ d_logits, b2=d_logits.sum(axis=0))
+    return LossBreakdown(total=ce + config.lam * trp, cross_entropy=ce,
+                         triplet=trp, n_triplets=n_triplets), grads
 
 
 def init_params(
@@ -261,21 +250,11 @@ def stratified_order(keys: Sequence[AuCellKey], rng: Rng) -> np.ndarray:
 class TrainResult:
     params: ModelParams
     loss_trace: list[LossBreakdown] = field(default_factory=list)
-    triplet_count_trace: list[int] = field(default_factory=list)
 
-
-def _prepare(dataset: Dataset, config: TrainConfig, conditioning: Sequence[str]):
-    train = dataset.split_part("train")
-    if len(train) == 0:
-        raise EmptyTrainSplit("no records with split == 'train'")
-    if dataset.feature_dim == 0:
-        raise NoFeatures("training needs a nonzero feature_dim")
-    x = train.feature_matrix()
-    y = train.labels()
-    keys = train.cell_keys(sorted(conditioning, key=au_sort_key))
-    rng = Rng(config.seed, ("train",))
-    params = init_params(x.shape[1], config.d_emb, max(2, int(y.max()) + 1), rng)
-    return x, y, keys, rng, TrainResult(params=params)
+    @property
+    def triplet_count_trace(self) -> list[int]:
+        """Each epoch's triplet count, read from loss_trace."""
+        return [epoch.n_triplets for epoch in self.loss_trace]
 
 
 # a mean cross-entropy this many times a uniform guess's (ln of the class
@@ -283,17 +262,47 @@ def _prepare(dataset: Dataset, config: TrainConfig, conditioning: Sequence[str])
 _CE_BLOWUP = 100.0
 
 
-def _record_epoch(result: TrainResult, epoch: int, mean: LossBreakdown) -> None:
-    p = result.params
-    if not all(np.isfinite(v).all() for v in (mean.total, p.W1, p.b1, p.W2, p.b2)):
-        raise Diverged(f"training diverged in epoch {epoch + 1}: loss {mean.total}"
-                       f" or parameters not finite; lower the learning rate")
-    if mean.cross_entropy > _CE_BLOWUP * np.log(p.W2.shape[1]):
-        raise Diverged(f"training diverged in epoch {epoch + 1}: cross-entropy "
-                       f"{mean.cross_entropy:.4g} is over {_CE_BLOWUP:g} times a "
-                       f"uniform guess's; lower the learning rate")
-    result.loss_trace.append(mean)
-    result.triplet_count_trace.append(mean.n_triplets)
+def _fit(dataset: Dataset, config: TrainConfig, conditioning: Sequence[str],
+         step) -> TrainResult:
+    """The one epoch loop of both trainers: minibatch SGD over the train
+    split, in which step(params, batch, config, rng) gives a batch's
+    LossBreakdown and gradients."""
+    part = dataset.split_part("train")
+    if len(part) == 0:
+        raise EmptyTrainSplit("no records with split == 'train'")
+    if dataset.feature_dim == 0:
+        raise NoFeatures("training needs a nonzero feature_dim")
+    x, y = part.feature_matrix(), part.labels()
+    keys = part.cell_keys(sorted(conditioning, key=au_sort_key))
+    rng = Rng(config.seed, ("train",))
+    params = init_params(x.shape[1], config.d_emb, max(2, int(y.max()) + 1), rng)
+    result = TrainResult(params=params)
+    for epoch in range(config.epochs):
+        order = stratified_order(keys, rng.child(f"shuffle-{epoch}"))
+        tot = ce = trp = 0.0
+        n_triplets = n_batches = 0
+        for start in range(0, len(order), config.batch_size):
+            idx = order[start:start + config.batch_size]
+            loss, grads = step(params, Batch(x[idx], y[idx], keys[idx]), config,
+                               rng.child(f"mine-{epoch}-{n_batches}"))
+            for value, grad in zip(vars(params).values(), vars(grads).values()):
+                value -= config.learning_rate * grad  # in place: W1, b1, W2, b2
+            tot += loss.total
+            ce += loss.cross_entropy
+            trp += loss.triplet
+            n_triplets += loss.n_triplets
+            n_batches += 1
+        mean = LossBreakdown(tot / n_batches, ce / n_batches, trp / n_batches,
+                             n_triplets)
+        if not all(np.isfinite(v).all() for v in (mean.total, *vars(params).values())):
+            raise Diverged(f"training diverged in epoch {epoch + 1}: loss {mean.total}"
+                           f" or parameters not finite; lower the learning rate")
+        if mean.cross_entropy > _CE_BLOWUP * np.log(params.W2.shape[1]):
+            raise Diverged(f"training diverged in epoch {epoch + 1}: cross-entropy "
+                           f"{mean.cross_entropy:.4g} is over {_CE_BLOWUP:g} times a "
+                           f"uniform guess's; lower the learning rate")
+        result.loss_trace.append(mean)
+    return result
 
 
 def train(
@@ -302,64 +311,28 @@ def train(
     """Deterministic minibatch SGD on the combined objective; Diverged
     once an epoch's loss or the parameters are not finite, or its mean
     cross-entropy is over _CE_BLOWUP times a uniform guess's."""
-    x, y, keys, rng, result = _prepare(dataset, config, conditioning)
-    params = result.params
-    for epoch in range(config.epochs):
-        order = stratified_order(keys, rng.child(f"shuffle-{epoch}"))
-        ce_sum = trp_sum = tot_sum = 0.0
-        trp_count = 0
-        n_batches = 0
-        for start in range(0, len(order), config.batch_size):
-            idx = order[start:start + config.batch_size]
-            batch = Batch(features=x[idx], labels=y[idx], au_keys=keys[idx])
-            breakdown, grads = total_loss(
-                params, batch, config,
-                rng.child(f"mine-{epoch}-{n_batches}"),
-            )
-            lr = config.learning_rate
-            params.W1 -= lr * grads.W1
-            params.b1 -= lr * grads.b1
-            params.W2 -= lr * grads.W2
-            params.b2 -= lr * grads.b2
-            ce_sum += breakdown.cross_entropy
-            trp_sum += breakdown.triplet
-            tot_sum += breakdown.total
-            trp_count += breakdown.n_triplets
-            n_batches += 1
-        _record_epoch(result, epoch, LossBreakdown(
-            total=tot_sum / n_batches, cross_entropy=ce_sum / n_batches,
-            triplet=trp_sum / n_batches, n_triplets=trp_count))
-    return result
+    return _fit(dataset, config, conditioning, total_loss)
+
+
+def _cross_entropy_step(params: ModelParams, batch: Batch, config: TrainConfig,
+                        rng: Rng) -> tuple[LossBreakdown, ModelParams]:
+    """The baseline's batch step: cross-entropy gradients alone, no triplet
+    term and no draw."""
+    emb, logits = forward(params, batch.features)
+    ce, d_logits = cross_entropy(logits, batch.labels)
+    d_hidden = (d_logits @ params.W2.T) * (emb > 0)
+    grads = ModelParams(W1=batch.features.T @ d_hidden, b1=d_hidden.sum(axis=0),
+                        W2=emb.T @ d_logits, b2=d_logits.sum(axis=0))
+    return LossBreakdown(total=ce, cross_entropy=ce, triplet=0.0, n_triplets=0), grads
 
 
 def train_cross_entropy_only(
     dataset: Dataset, config: TrainConfig, conditioning: Sequence[str]
 ) -> TrainResult:
-    """Baseline trainer: identical init and batch schedule, no triplet
-    term. With lam = 0 the combined trainer reproduces it bit-for-bit."""
-    x, y, keys, rng, result = _prepare(dataset, config, conditioning)
-    params = result.params
-    for epoch in range(config.epochs):
-        order = stratified_order(keys, rng.child(f"shuffle-{epoch}"))
-        ce_sum = 0.0
-        n_batches = 0
-        for start in range(0, len(order), config.batch_size):
-            idx = order[start:start + config.batch_size]
-            xb, yb = x[idx], y[idx]
-            emb, logits = forward(params, xb)
-            ce, d_logits = cross_entropy(logits, yb)
-            d_hidden = (d_logits @ params.W2.T) * (emb > 0)
-            lr = config.learning_rate
-            params.W1 -= lr * (xb.T @ d_hidden)
-            params.b1 -= lr * d_hidden.sum(axis=0)
-            params.W2 -= lr * (emb.T @ d_logits)
-            params.b2 -= lr * d_logits.sum(axis=0)
-            ce_sum += ce
-            n_batches += 1
-        _record_epoch(result, epoch, LossBreakdown(
-            total=ce_sum / n_batches, cross_entropy=ce_sum / n_batches,
-            triplet=0.0, n_triplets=0))
-    return result
+    """Baseline trainer: the same loop, init and batch schedule as train,
+    with a step of its own that has no triplet term. With lam = 0 the
+    combined trainer reproduces it bit-for-bit."""
+    return _fit(dataset, config, conditioning, _cross_entropy_step)
 
 
 def predict(

@@ -53,7 +53,8 @@ def logistic_fit(
     information; Wald z and two-sided p-values per coefficient.
 
     Raises Separation when the fitted probabilities pin to {0, 1} and
-    SingularDesign when the information matrix is not invertible.
+    SingularDesign when the information matrix is not invertible or its
+    inverse's diagonal is not finite and positive.
     """
     X = np.asarray(design, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -107,7 +108,10 @@ def logistic_fit(
         cov = np.linalg.inv(info)
     except np.linalg.LinAlgError:
         raise SingularDesign("information matrix singular at optimum")
-    se = np.sqrt(np.diag(cov))
+    variances = np.diag(cov)  # an ill-conditioned info can invert to negatives
+    if not np.all(np.isfinite(variances) & (variances > 0)):
+        raise SingularDesign("covariance diagonal not finite and positive at optimum")
+    se = np.sqrt(variances)
     z = beta / se
     pvals = np.array([math.erfc(abs(v) / math.sqrt(2.0)) for v in z])
     return LogisticFit(

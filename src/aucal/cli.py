@@ -59,10 +59,18 @@ def _parse_thresholds(spec: str) -> dict[str, float]:
 
 
 def _load_binarized(path, label_col, condition, thresholds):
-    schema = CsvSchema(label_col=label_col)
-    result = load_dataset(path, schema)
-    dataset = result.dataset
     aus = condition.split(",") if condition else []
+    if not isinstance(thresholds, dict):  # one check for flags and specs
+        raise _UsageError(f"thresholds {thresholds!r} do not map AUs to numbers")
+    for au, value in thresholds.items():
+        if au not in aus:
+            raise _UsageError(f"threshold for {au}, which is not a condition AU "
+                              f"({', '.join(aus)})")
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not abs(value) <= sys.float_info.max):  # nan, inf, a huge int
+            raise _UsageError(f"threshold {au}={value!r} is not a finite number")
+    result = load_dataset(path, CsvSchema(label_col=label_col))
+    dataset = result.dataset
     if aus and not dataset.is_binarized(aus):
         dataset = binarize(dataset,
                            {au: thresholds.get(au, DEFAULT_THRESHOLD) for au in aus})
@@ -261,10 +269,8 @@ def _cmd_compare(args) -> int:
         models.append((m["name"], [
             _config_from(TrainConfig, fields, "model spec", seed=seed)
             for seed in range(args.seeds)]))
-    thresholds = spec.get("thresholds", {})
-    dataset, _ = _load_binarized(
-        spec["data"], spec.get("label", "label"), spec["condition"], thresholds
-    )
+    dataset, _ = _load_binarized(spec["data"], spec.get("label", "label"),
+                                 spec["condition"], spec.get("thresholds", {}))
     aus = spec["condition"].split(",")
     group = spec.get("group", "gender")
     positive_group = spec["positive_group"]
@@ -337,7 +343,7 @@ def _cmd_demo(args) -> int:
 
     epochs = args.epochs
     base_cfg = TrainConfig(lam=0.0, epochs=epochs, seed=args.seed)
-    fair_cfg = TrainConfig(epochs=epochs, seed=args.seed, triplet_reduction="mean")
+    fair_cfg = TrainConfig(epochs=epochs, seed=args.seed)
     baseline = train(dataset, base_cfg, aus)
     aucfer = train(dataset, fair_cfg, aus)
     _save_model(baseline, base_cfg, out / "model_baseline.json")

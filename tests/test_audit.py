@@ -81,6 +81,25 @@ def test_logistic_singular_design():
         logistic_fit(X, y)
 
 
+def test_zero_positive_reference_level_is_a_logistic_error():
+    # 5 levels whose 3-row reference level has no positives: the Newton
+    # steps never converge and the inverse information has a negative
+    # diagonal, which used to become NaN p-values with no error
+    from aucal.data import AnnotatedRecord
+
+    gen = np.random.default_rng(1)
+    levels = np.repeat(np.arange(5), (3, 51, 113, 102, 30))
+    au = gen.uniform(0, 5, (levels.size, 2))
+    label = np.where(levels == 0, 0, gen.random(levels.size) < 0.4)
+    recs = [AnnotatedRecord(id=f"r{i}", au_intensities={"AU6": a6, "AU12": a12},
+                            label=int(lab), group={"age_group": f"g{lvl}"})
+            for i, (lvl, (a6, a12), lab) in enumerate(zip(levels, au, label))]
+    ds = binarize(make_dataset(recs, ["AU6", "AU12"]), {"AU6": 2.5, "AU12": 2.5})
+    rep = conditional_bias_report(ds, ["AU6", "AU12"], "age_group")
+    assert rep.logistic is None
+    assert rep.logistic_error.startswith("SingularDesign")
+
+
 def _two_group_dataset(n_pos_f, n_f, n_pos_m, n_m, au6=1, au12=1):
     recs = []
     i = 0

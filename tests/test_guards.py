@@ -1,7 +1,8 @@
 """Inputs that used to end in a silently wrong result and now end in a
 typed error with exit code 1: a diverging training run, --thresholds on a
-file that already carries presence columns, and compare specs whose keys
-or triplet settings were dropped."""
+file that already carries presence columns, thresholds for an AU outside
+--condition or with a non-finite or non-numeric value, and compare specs
+whose keys or triplet settings were dropped."""
 
 import json
 
@@ -99,9 +100,48 @@ def test_thresholds_apply_when_presence_columns_are_missing(tmp_path):
         "AU12=0,AU6=1", "AU12=1,AU6=0"]
 
 
-def _compare(tmp_path, data, models, seeds=1):
+def _intensity_csv(tmp_path):
+    """Four rows with AU intensities and no presence columns."""
+    data = tmp_path / "d.csv"
+    data.write_text("id,AU6,AU12,label,gender\na,3.0,2.0,1,F\nb,1.0,4.0,0,M\n"
+                    "c,2.0,1.0,0,F\nd,4.0,3.0,1,M\n", encoding="utf-8")
+    return data
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("AU6=2.0,AU7=2.0", "threshold for AU7, which is not a condition AU"),
+    ("AU6=2.0,au12=0.1", "threshold for au12, which is not a condition AU"),
+    ("AU6=nan", "threshold AU6=nan is not a finite number"),
+    ("AU12=inf", "threshold AU12=inf is not a finite number"),
+])
+def test_thresholds_that_would_be_ignored_or_cannot_work_exit_1(
+        tmp_path, capsys, spec, message):
+    out = tmp_path / "rep.json"
+    code = run(["audit", "--data", str(_intensity_csv(tmp_path)),
+                "--condition", "AU6,AU12", "--thresholds", spec, "--out", str(out)])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("thresholds, message", [
+    ({"AU6": "2.0"}, "threshold AU6='2.0' is not a finite number"),
+    ({"AU6": True}, "threshold AU6=True is not a finite number"),
+    ({"AU12": 10 ** 400}, "is not a finite number"),
+    ({"AU7": 2.0}, "threshold for AU7, which is not a condition AU"),
+    (["AU6", 2.0], "do not map AUs to numbers"),
+])
+def test_compare_rejects_bad_thresholds(tmp_path, capsys, thresholds, message):
+    code, out = _compare(tmp_path, _intensity_csv(tmp_path),
+                         [{"name": "m", "epochs": 1}], thresholds=thresholds)
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _compare(tmp_path, data, models, seeds=1, **extra):
     spec = {"data": str(data), "condition": "AU6,AU12",
-            "positive_group": "F", "models": models}
+            "positive_group": "F", "models": models, **extra}
     configs = tmp_path / "runs.json"
     configs.write_text(json.dumps(spec), encoding="utf-8")
     out = tmp_path / "compare.csv"
