@@ -108,10 +108,10 @@ def triplet_loss(
 ) -> tuple[float, np.ndarray]:
     """Hinge on squared-distance gaps, summed over mined triples (or
     averaged with reduction='mean'); returns the loss and its gradient
-    with respect to the embeddings. Distances come from one batch-level
-    matrix. The gradient is 2 * scale * C @ embeddings, where each active
-    triple (a, p, n) adds +1 at C[a, n], C[p, p], C[n, a] and -1 at
-    C[a, p], C[p, a], C[n, n]."""
+    with respect to the embeddings. Squared distances come from one
+    batch-level Gram matrix, |a|^2 + |b|^2 - 2 a.b. The gradient is
+    2 * scale * C @ embeddings, where each active triple (a, p, n) adds +1
+    at C[a, n], C[p, p], C[n, a] and -1 at C[a, p], C[p, a], C[n, n]."""
     emb = np.asarray(embeddings, dtype=float)
     t = triplets.triples
     if t.size == 0:
@@ -119,10 +119,8 @@ def triplet_loss(
     b = emb.shape[0]
     if t.min() < 0 or t.max() >= b:
         raise IndexOutOfRange("triplet index outside the batch")
-    dist = np.empty((b, b))
-    rows = max(1, (1 << 20) // max(emb.size, 1))  # temporaries stay <= 8 MB
-    for lo in range(0, b, rows):
-        dist[lo:lo + rows] = ((emb[lo:lo + rows, None] - emb[None]) ** 2).sum(axis=2)
+    sq = (emb * emb).sum(axis=1)
+    dist = sq[:, None] + sq[None] - 2.0 * (emb @ emb.T)
     hinge = dist[t[:, 0], t[:, 1]] - dist[t[:, 0], t[:, 2]] + margin
     active = hinge > 0
     loss = float(hinge[active].sum())

@@ -126,6 +126,13 @@ def _load_model(path) -> ModelParams:
     return ModelParams(*weights)
 
 
+def _json_object(raw, where: str) -> dict:
+    if not isinstance(raw, dict):
+        raise _UsageError(f"{where} must be a JSON object, "
+                          f"not {json.dumps(raw)[:40]}")
+    return raw
+
+
 def _reject_unknown(keys, allowed, where: str) -> None:
     if unknown := sorted(set(keys) - set(allowed)):
         raise _UsageError(f"unknown {where} keys: {', '.join(unknown)}")
@@ -136,7 +143,7 @@ def _config_from(cls, raw: dict, where: str, **fixed):
     an error, absent fields take cls's defaults and ``fixed`` sets the rest."""
     names = {_JSON_NAME.get(f.name, f.name): f.name
              for f in dataclasses.fields(cls) if f.name not in fixed}
-    _reject_unknown(raw, names, where)
+    _reject_unknown(_json_object(raw, where), names, where)
     try:
         return cls(**{names[k]: v for k, v in raw.items()}, **fixed)
     except TypeError as exc:  # a field without a default is missing
@@ -144,11 +151,13 @@ def _config_from(cls, raw: dict, where: str, **fixed):
 
 
 def _cmd_synth(args) -> int:
-    raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    raw = _json_object(json.loads(Path(args.config).read_text(encoding="utf-8")),
+                       "synth config")
     if args.seed is not None:
         raw["seed"] = args.seed
+    au_models = _json_object(raw.get("au_models"), "synth config au_models")
     raw["au_models"] = {au: _config_from(AuModel, m, f"au_models {au}")
-                        for au, m in raw["au_models"].items()}
+                        for au, m in au_models.items()}
     config = _config_from(SynthConfig, raw, "synth config")
     result = generate(config)
     dataset = binarize(
@@ -261,12 +270,17 @@ _SPEC_KEYS = {"data", "label", "condition", "group", "positive_group",
 
 
 def _cmd_compare(args) -> int:
-    spec = json.loads(Path(args.configs).read_text(encoding="utf-8"))
+    spec = _json_object(json.loads(Path(args.configs).read_text(encoding="utf-8")),
+                        "compare spec")
     _reject_unknown(spec, _SPEC_KEYS, "compare spec")
+    if not isinstance(spec.get("models"), list):
+        raise _UsageError("compare spec: models must be a list of model specs")
     models = []
     for m in spec["models"]:
-        fields = {k: v for k, v in m.items() if k != "name"}
-        models.append((m["name"], [
+        fields = dict(_json_object(m, "model spec"))
+        if not isinstance(name := fields.pop("name", None), str):
+            raise _UsageError("model spec: name must be a string")
+        models.append((name, [
             _config_from(TrainConfig, fields, "model spec", seed=seed)
             for seed in range(args.seeds)]))
     dataset, _ = _load_binarized(spec["data"], spec.get("label", "label"),

@@ -17,7 +17,7 @@ GOLDEN = {
     "eval_aucfer.json": "cffb986981117f073d1ec9db544cf8fc7bc1b0928bdbc67bfefc9c3a189e3fdb",
     "eval_baseline.json": "32010983ee1b17dc5a5dc90d57f4e9bcf519e9ba3c037e474b9825fbca227512",
     "flips.json": "3247136fcc9fea223b2f30a83e644f557c5bf015145e2043169ecc12077da05d",
-    "model_aucfer.json": "a3348ffb89f5e3381e73e49192818004e6d100636d10770952963a42efe92419",
+    "model_aucfer.json": "0e77f47ae8d27027f8c3870664e591c0a9051abd4cc04a61fc2e7036b812c7f2",
     "model_baseline.json": "d4b128567090af83555b2d30db58db70f7503a4958442fb643e7392d3406385c",
     "relabeled.csv": "c7693227ecf6b80da9c3c4dcfde24a20b94e2768c94a9ad51844db82a14e1c90",
     "summary.csv": "8730c82db2ec0909ead61f12a15bf448a75f0d59b489cb9bb4d8781bd5d4ff35",

@@ -1,8 +1,9 @@
 """Inputs that used to end in a silently wrong result and now end in a
 typed error with exit code 1: a diverging training run, --thresholds on a
 file that already carries presence columns, thresholds for an AU outside
---condition or with a non-finite or non-numeric value, and compare specs
-whose keys or triplet settings were dropped."""
+--condition or with a non-finite or non-numeric value, compare specs
+whose keys or triplet settings were dropped, and compare specs and synth
+configs of the wrong JSON shape, which used to end in a traceback."""
 
 import json
 
@@ -201,6 +202,31 @@ def test_compare_rejects_bad_model_specs(tmp_path, capsys, model, message):
     assert not out.exists()
 
 
+def _run_compare_spec(tmp_path, spec):
+    configs = tmp_path / "runs.json"
+    configs.write_text(json.dumps(spec), encoding="utf-8")
+    out = tmp_path / "c.csv"
+    return run(["compare", "--configs", str(configs), "--out", str(out)]), out
+
+
+def _base_spec(models):
+    return {"data": "never-read.csv", "condition": "AU6",
+            "positive_group": "F", "models": models}
+
+
+@pytest.mark.parametrize("spec, message", [
+    ([1], "compare spec must be a JSON object, not [1]"),
+    (_base_spec(3), "models must be a list of model specs"),
+    (_base_spec([1]), "model spec must be a JSON object, not 1"),
+    (_base_spec([{"epochs": 1}]), "model spec: name must be a string"),
+])
+def test_compare_rejects_misshapen_specs(tmp_path, capsys, spec, message):
+    code, out = _run_compare_spec(tmp_path, spec)
+    err = capsys.readouterr().err
+    assert code == 1 and message in err and "usage:" in err
+    assert not out.exists()
+
+
 def test_compare_rejects_unknown_top_level_keys(tmp_path, capsys):
     configs = tmp_path / "runs.json"
     configs.write_text(json.dumps({"data": "x.csv", "condition": "AU6",
@@ -227,6 +253,19 @@ def test_synth_rejects_unknown_config_keys(tmp_path, capsys, change, message):
     assert message in capsys.readouterr().err and not out.exists()
     path.write_text(json.dumps(raw), encoding="utf-8")
     assert run(["synth", "--config", str(path), "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("config, message", [
+    ([1], "synth config must be a JSON object, not [1]"),
+    ({"au_models": 3}, "synth config au_models must be a JSON object, not 3"),
+    ({"au_models": {"AU6": [1]}}, "au_models AU6 must be a JSON object"),
+])
+def test_synth_rejects_misshapen_configs(tmp_path, capsys, config, message):
+    path, out = tmp_path / "config.json", tmp_path / "x.csv"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert run(["synth", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "usage:" in err and not out.exists()
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -6,11 +6,23 @@ batch-level `mine_triplets` must return the same triples in the same
 order from the same random stream: the trained models, and so the golden
 digests, depend on every draw.
 
-`triplet_loss` takes its gradient as 2 * scale * C @ embeddings, with C
-the B x B coefficient matrix of the active triples. `_reference_coef`
-builds C one triple at a time, so the gradient must match it bit for
-bit. `_reference_scatter` is the per-triple three-scatter gradient; the
-two sum the same terms in another order, so they agree to within float64
+`triplet_loss` reads its hinges from one Gram-form squared-distance
+matrix, |a|^2 + |b|^2 - 2 a.b, and takes its gradient as
+2 * scale * C @ embeddings, with C the B x B coefficient matrix of the
+active triples. `_gram_hinges` reads the same matrix one triple at a time
+and `_reference_coef` builds C one triple at a time, so the loss and the
+gradient must match them bit for bit.
+
+Against the difference form, |a - p|^2 - |a - n|^2 + margin, a Gram hinge
+differs by float64 rounding alone: to first order in eps, at most
+(4 d + 15) * eps * (|a|^2 + |p|^2 + |n|^2) + eps * margin over both
+computations, with d the embedding width. `_gap_bound` states this with
+c = 4 d + 16. Where a difference-form hinge lies within that bound of 0,
+the two forms may disagree on whether the triple is active; that happens
+at exact ties, such as margin 0 with a repeated row. On every other batch
+the active triples are the same, and the gradient is checked against
+`_reference_scatter`, the per-triple three-scatter gradient. The two sum
+the same terms in another order, so they agree to within float64
 rounding: per entry, eps * k * (the sum of the absolute terms of both
 computations), with k the largest number of terms one entry can sum.
 """
@@ -52,48 +64,68 @@ def _reference_mine(batch_au_keys, cap, rng):
     return TripletSet(np.concatenate(triples, axis=0))
 
 
-def _active(emb, t, margin):
+def _gram_hinges(emb, t, margin):
+    """Each triple's hinge, read one at a time from the Gram-form matrix."""
+    sq = (emb * emb).sum(axis=1)
+    dist = sq[:, None] + sq[None] - 2.0 * (emb @ emb.T)
+    return np.array([dist[a, p] - dist[a, n] + margin for a, p, n in t.tolist()])
+
+
+def _difference_hinges(emb, t, margin):
     a, p, n = emb[t[:, 0]], emb[t[:, 1]], emb[t[:, 2]]
-    hinge = ((a - p) ** 2).sum(axis=1) - ((a - n) ** 2).sum(axis=1) + margin
-    return t[hinge > 0], float(hinge[hinge > 0].sum())
+    return ((a - p) ** 2).sum(axis=1) - ((a - n) ** 2).sum(axis=1) + margin
 
 
-def _reference_coef(emb, t, margin):
-    b = len(emb)
+def _gap_bound(emb, t, margin):
+    """Per triple, c * eps * (|a|^2 + |p|^2 + |n|^2 + margin) with
+    c = 4 d + 16: the first-order worst case of |Gram - difference hinge|."""
+    sq = (emb * emb).sum(axis=1)
+    c = 4 * emb.shape[1] + 16
+    return c * EPS * (sq[t[:, 0]] + sq[t[:, 1]] + sq[t[:, 2]] + margin)
+
+
+def _reference_coef(active, b):
     coef = np.zeros((b, b))
-    for a, p, n in _active(emb, t, margin)[0].tolist():
+    for a, p, n in active.tolist():
         for row, col, sign in ((a, n, 1), (p, p, 1), (n, a, 1),
                                (a, p, -1), (p, a, -1), (n, n, -1)):
             coef[row, col] += sign
     return coef
 
 
-def _reference_scatter(emb, t, margin, scale):
-    """The three-scatter gradient and, per entry, the sum of the absolute
-    values of the terms it added up."""
-    ta = _active(emb, t, margin)[0]
+def _reference_scatter(emb, ta, scale):
+    """The three-scatter gradient of the active triples ta and, per entry,
+    the sum of the absolute values of the terms it added up."""
     grad, absolute = np.zeros_like(emb), np.zeros_like(emb)
     for rows, terms in ((ta[:, 0], 2.0 * (emb[ta[:, 2]] - emb[ta[:, 1]]) * scale),
                         (ta[:, 1], -2.0 * (emb[ta[:, 0]] - emb[ta[:, 1]]) * scale),
                         (ta[:, 2], 2.0 * (emb[ta[:, 0]] - emb[ta[:, 2]]) * scale)):
         np.add.at(grad, rows, terms)
         np.add.at(absolute, rows, np.abs(terms))
-    return grad, absolute, len(ta)
+    return grad, absolute
 
 
 def _check_loss(emb, triplets, margin, reduction):
+    """Check triplet_loss against the references; True when the batch has
+    no near-tie, so the three-scatter gradient was checked too."""
     t = triplets.triples
     loss, grad = triplet_loss(emb, triplets, margin, reduction)
     scale = 1.0 / len(t) if reduction == "mean" and len(t) else 1.0
-    assert loss == _active(emb, t, margin)[1] * scale
+    hinge = _gram_hinges(emb, t, margin)
+    assert loss == float(hinge[hinge > 0].sum()) * scale
 
-    coef = _reference_coef(emb, t, margin)
+    coef = _reference_coef(t[hinge > 0], len(emb))
     assert np.array_equal(grad, (2.0 * scale) * (coef @ emb))
 
-    ref, absolute, n_active = _reference_scatter(emb, t, margin, scale)
-    k = 3 * n_active + len(emb)
+    diff, bound = _difference_hinges(emb, t, margin), _gap_bound(emb, t, margin)
+    assert np.all(np.abs(hinge - diff) <= bound)
+    if np.any(np.abs(diff) <= bound):
+        return False  # an exact tie may put a triple on either side
+    ref, absolute = _reference_scatter(emb, t[diff > 0], scale)
+    k = 3 * int((diff > 0).sum()) + len(emb)
     bound = EPS * k * (absolute + (2.0 * scale) * (np.abs(coef) @ np.abs(emb)))
     assert np.all(np.abs(grad - ref) <= bound)
+    return True
 
 
 def _key(code):
@@ -144,11 +176,10 @@ def test_single_key_and_singleton_batches_mine_nothing():
     assert lone.triples.shape == (0, 3)
 
 
-def test_distance_blocks_match_reference():
-    # wide enough that the distance matrix is built in row blocks of 3,
-    # the last one short
+def test_wide_batch_matches_difference_form():
+    # 1000 columns: the bound grows with d, and no hinge comes near a tie
     gen = np.random.default_rng(5)
     keys = [_key(code) for code in gen.integers(0, 16, 301)]
     emb = gen.normal(0.0, 1.0, (301, 1000))
     triplets = mine_triplets(keys, 7, Rng(5, ("mine",)))
-    _check_loss(emb, triplets, 50.0, "sum")
+    assert _check_loss(emb, triplets, 50.0, "sum")
