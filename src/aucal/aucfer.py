@@ -108,10 +108,10 @@ def triplet_loss(
 ) -> tuple[float, np.ndarray]:
     """Hinge on squared-distance gaps, summed over mined triples (or
     averaged with reduction='mean'); returns the loss and its gradient
-    with respect to the embeddings. Squared distances come from one
-    batch-level Gram matrix, |a|^2 + |b|^2 - 2 a.b. The gradient is
-    2 * scale * C @ embeddings, where each active triple (a, p, n) adds +1
-    at C[a, n], C[p, p], C[n, a] and -1 at C[a, p], C[p, a], C[n, n]."""
+    with respect to the embeddings. Squared distances come from one Gram
+    matrix, |a|^2 + |b|^2 - 2 a.b. The gradient is 2 * scale * C @ emb,
+    where each active triple (a, p, n) adds +1 at C[a, n], C[p, p],
+    C[n, a] and -1 at C[a, p], C[p, a], C[n, n]."""
     emb = np.asarray(embeddings, dtype=float)
     t = triplets.triples
     if t.size == 0:

@@ -128,8 +128,7 @@ def _load_model(path) -> ModelParams:
 
 def _json_object(raw, where: str) -> dict:
     if not isinstance(raw, dict):
-        raise _UsageError(f"{where} must be a JSON object, "
-                          f"not {json.dumps(raw)[:40]}")
+        raise _UsageError(f"{where} must be a JSON object, not {json.dumps(raw)[:40]}")
     return raw
 
 
@@ -155,9 +154,8 @@ def _cmd_synth(args) -> int:
                        "synth config")
     if args.seed is not None:
         raw["seed"] = args.seed
-    au_models = _json_object(raw.get("au_models"), "synth config au_models")
-    raw["au_models"] = {au: _config_from(AuModel, m, f"au_models {au}")
-                        for au, m in au_models.items()}
+    raw["au_models"] = {au: _config_from(AuModel, m, f"au_models {au}") for au, m
+                        in _json_object(raw.get("au_models"), "au_models").items()}
     config = _config_from(SynthConfig, raw, "synth config")
     result = generate(config)
     dataset = binarize(
@@ -270,9 +268,8 @@ _SPEC_KEYS = {"data", "label", "condition", "group", "positive_group",
 
 
 def _cmd_compare(args) -> int:
-    spec = _json_object(json.loads(Path(args.configs).read_text(encoding="utf-8")),
-                        "compare spec")
-    _reject_unknown(spec, _SPEC_KEYS, "compare spec")
+    spec = json.loads(Path(args.configs).read_text(encoding="utf-8"))
+    _reject_unknown(_json_object(spec, "compare spec"), _SPEC_KEYS, "compare spec")
     if not isinstance(spec.get("models"), list):
         raise _UsageError("compare spec: models must be a list of model specs")
     models = []

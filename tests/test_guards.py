@@ -194,6 +194,8 @@ def test_compare_honours_sum_reduction(tmp_path):
     ({"name": "m", "seed": 3}, "seed"),
     ({"name": "m", "triplet_reduction": "avg"}, "triplet_reduction"),
     ({"name": "m", "max_triplets_per_anchor": 0}, "max_triplets_per_anchor"),
+    (1, "model spec must be a JSON object, not 1"),
+    ({"epochs": 1}, "model spec: name must be a string"),
 ])
 def test_compare_rejects_bad_model_specs(tmp_path, capsys, model, message):
     code, out = _compare(tmp_path, tmp_path / "never-read.csv", [model])
@@ -202,26 +204,15 @@ def test_compare_rejects_bad_model_specs(tmp_path, capsys, model, message):
     assert not out.exists()
 
 
-def _run_compare_spec(tmp_path, spec):
-    configs = tmp_path / "runs.json"
-    configs.write_text(json.dumps(spec), encoding="utf-8")
-    out = tmp_path / "c.csv"
-    return run(["compare", "--configs", str(configs), "--out", str(out)]), out
-
-
-def _base_spec(models):
-    return {"data": "never-read.csv", "condition": "AU6",
-            "positive_group": "F", "models": models}
-
-
 @pytest.mark.parametrize("spec, message", [
     ([1], "compare spec must be a JSON object, not [1]"),
-    (_base_spec(3), "models must be a list of model specs"),
-    (_base_spec([1]), "model spec must be a JSON object, not 1"),
-    (_base_spec([{"epochs": 1}]), "model spec: name must be a string"),
+    ({"data": "never-read.csv", "condition": "AU6", "positive_group": "F",
+      "models": 3}, "models must be a list of model specs"),
 ])
 def test_compare_rejects_misshapen_specs(tmp_path, capsys, spec, message):
-    code, out = _run_compare_spec(tmp_path, spec)
+    configs, out = tmp_path / "runs.json", tmp_path / "c.csv"
+    configs.write_text(json.dumps(spec), encoding="utf-8")
+    code = run(["compare", "--configs", str(configs), "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 1 and message in err and "usage:" in err
     assert not out.exists()
@@ -257,7 +248,7 @@ def test_synth_rejects_unknown_config_keys(tmp_path, capsys, change, message):
 
 @pytest.mark.parametrize("config, message", [
     ([1], "synth config must be a JSON object, not [1]"),
-    ({"au_models": 3}, "synth config au_models must be a JSON object, not 3"),
+    ({"au_models": 3}, "au_models must be a JSON object, not 3"),
     ({"au_models": {"AU6": [1]}}, "au_models AU6 must be a JSON object"),
 ])
 def test_synth_rejects_misshapen_configs(tmp_path, capsys, config, message):
