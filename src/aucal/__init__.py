@@ -9,7 +9,6 @@ from .data import (  # noqa: F401
     Dataset,
     binarize,
     load_dataset,
-    make_dataset,
     save_dataset,
 )
 from .rng import Rng  # noqa: F401

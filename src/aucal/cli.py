@@ -265,11 +265,19 @@ def _cmd_eval(args) -> int:
 
 _SPEC_KEYS = {"data", "label", "condition", "group", "positive_group",
               "thresholds", "models"}
+_SPEC_DEFAULTS = {"label": "label", "group": "gender", "thresholds": {}}
 
 
 def _cmd_compare(args) -> int:
     spec = json.loads(Path(args.configs).read_text(encoding="utf-8"))
     _reject_unknown(_json_object(spec, "compare spec"), _SPEC_KEYS, "compare spec")
+    spec = {**_SPEC_DEFAULTS, **spec}
+    for key in ("data", "condition", "positive_group", "label", "group"):
+        if key not in spec:
+            raise _UsageError(f"compare spec: {key} is missing")
+        if not isinstance(spec[key], str):
+            raise _UsageError(f"compare spec: {key} must be a string, "
+                              f"not {json.dumps(spec[key])[:40]}")
     if not isinstance(spec.get("models"), list):
         raise _UsageError("compare spec: models must be a list of model specs")
     models = []
@@ -280,11 +288,10 @@ def _cmd_compare(args) -> int:
         models.append((name, [
             _config_from(TrainConfig, fields, "model spec", seed=seed)
             for seed in range(args.seeds)]))
-    dataset, _ = _load_binarized(spec["data"], spec.get("label", "label"),
-                                 spec["condition"], spec.get("thresholds", {}))
+    dataset, _ = _load_binarized(spec["data"], spec["label"], spec["condition"],
+                                 spec["thresholds"])
     aus = spec["condition"].split(",")
-    group = spec.get("group", "gender")
-    positive_group = spec["positive_group"]
+    group, positive_group = spec["group"], spec["positive_group"]
     summaries = []
     for name, configs in models:
         results = []

@@ -3,15 +3,14 @@ binarization, and the one stratification helper.
 
 A Dataset holds read-only, row-aligned columns: ids, AU intensities,
 presence bits, labels, integer group codes, features and the test-split
-mask. Every transform returns a new Dataset over new or indexed columns;
-`Dataset.records` is a per-row view built on demand.
+mask. Every transform returns a new Dataset over new or indexed columns.
 """
 
 from __future__ import annotations
 
 import csv
 import re
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from itertools import compress
 from pathlib import Path
@@ -120,20 +119,6 @@ def strata(codes) -> list[tuple[int, np.ndarray]]:
     return list(zip(firsts, np.split(order, cuts)))
 
 
-@dataclass(frozen=True)
-class AnnotatedRecord:
-    """One face: AU intensities, label, protected attributes, and the
-    optional feature vector standing in for the image."""
-
-    id: str
-    au_intensities: Mapping[str, float]
-    label: int
-    group: Mapping[str, str]
-    au_presence: Mapping[str, int] | None = None
-    features: np.ndarray | None = None
-    split: str = "train"
-
-
 def _read_only(array) -> np.ndarray:
     view = np.asarray(array).view()
     view.flags.writeable = False
@@ -170,28 +155,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __iter__(self) -> Iterator[AnnotatedRecord]:
-        return iter(self.records)
-
-    @property
-    def records(self) -> tuple[AnnotatedRecord, ...]:
-        """The rows as AnnotatedRecords, built on each access."""
-        aus = [a for a in self.au_ids if a in self.binarized]
-        presence = self.presence[:, [self.au_ids.index(a) for a in aus]].tolist()
-        groups = {a: self.group_values(a).tolist() for a in self.attribute_levels}
-        return tuple(
-            AnnotatedRecord(
-                id=record_id,
-                au_intensities=dict(zip(self.au_ids, self.intensity[i].tolist())),
-                label=int(self.label[i]),
-                group={a: values[i] for a, values in groups.items()},
-                au_presence=dict(zip(aus, presence[i])) if aus else None,
-                features=self.features[i] if self.feature_dim else None,
-                split="test" if self.is_test[i] else "train",
-            )
-            for i, record_id in enumerate(self.ids.tolist())
-        )
 
     def labels(self) -> np.ndarray:
         return self.label
@@ -513,29 +476,3 @@ def binarize(
     return replace(dataset, presence=presence,
                    binarized=dataset.binarized | set(thresholds))
 
-
-def make_dataset(records: Sequence[AnnotatedRecord], au_ids: Sequence[str],
-                 feature_dim: int = 0) -> Dataset:
-    """Construct a Dataset from records, inferring attribute levels."""
-    if not records:
-        raise EmptyDataset("no records")
-    aus = tuple(sorted(au_ids, key=au_sort_key))
-    levels = {a: tuple(sorted({r.group[a] for r in records})) for a in sorted(records[0].group)}
-    binarized = [a for a in aus if all(a in (r.au_presence or {}) for r in records)]
-    shape = (len(records), len(aus))
-    return Dataset(
-        au_ids=aus,
-        attribute_levels=levels,
-        ids=np.array([r.id for r in records], dtype=str),
-        intensity=np.array([[r.au_intensities[a] for a in aus] for r in records],
-                           dtype=float).reshape(shape),
-        presence=np.array([[r.au_presence[a] if a in binarized else 0 for a in aus]
-                           for r in records], dtype=np.uint8).reshape(shape),
-        binarized=frozenset(binarized),
-        label=np.array([r.label for r in records], dtype=np.int64),
-        codes={a: np.array([lv.index(r.group[a]) for r in records], dtype=np.int64)
-               for a, lv in levels.items()},
-        features=np.array([r.features for r in records], dtype=float) if feature_dim
-        else np.zeros((len(records), 0)),
-        is_test=np.array([r.split == "test" for r in records]),
-    )

@@ -27,7 +27,7 @@ from aucal.errors import (
 )
 from aucal.rng import Rng
 from aucal.synth import generate
-from conftest import biased_config
+from conftest import biased_config, rows_of
 
 
 def _key(au6, au12):
@@ -292,7 +292,7 @@ def test_train_requires_train_split():
     cfg_ds = biased_config(seed=1, n=400, feature_dim=4, test_fraction=0.5)
     ds = binarize(generate(cfg_ds).dataset, {"AU6": 2.2, "AU12": 2.2})
     only_test = ds.subset(
-        [i for i, r in enumerate(ds.records) if r.split == "test"]
+        [i for i, r in enumerate(rows_of(ds)) if r.split == "test"]
     )
     with pytest.raises(EmptyTrainSplit):
         train(only_test, TrainConfig(epochs=1), ["AU6", "AU12"])

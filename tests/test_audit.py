@@ -8,11 +8,11 @@ from aucal.audit import (
     logistic_fit,
     multi_group_bias_report,
 )
-from aucal.data import binarize, make_dataset
+from aucal.data import binarize
 from aucal.errors import NotBinarized, Separation, SingularDesign
 from aucal.rng import Rng
 from aucal.synth import generate
-from conftest import biased_config, record
+from conftest import Row, biased_config, dataset_of, record, rows_of
 
 
 def _sigmoid(x):
@@ -85,16 +85,14 @@ def test_zero_positive_reference_level_is_a_logistic_error():
     # 5 levels whose 3-row reference level has no positives: the Newton
     # steps never converge and the inverse information has a negative
     # diagonal, which used to become NaN p-values with no error
-    from aucal.data import AnnotatedRecord
-
     gen = np.random.default_rng(1)
     levels = np.repeat(np.arange(5), (3, 51, 113, 102, 30))
     au = gen.uniform(0, 5, (levels.size, 2))
     label = np.where(levels == 0, 0, gen.random(levels.size) < 0.4)
-    recs = [AnnotatedRecord(id=f"r{i}", au_intensities={"AU6": a6, "AU12": a12},
-                            label=int(lab), group={"age_group": f"g{lvl}"})
+    recs = [Row(id=f"r{i}", au_intensities={"AU6": a6, "AU12": a12},
+                label=int(lab), group={"age_group": f"g{lvl}"})
             for i, (lvl, (a6, a12), lab) in enumerate(zip(levels, au, label))]
-    ds = binarize(make_dataset(recs, ["AU6", "AU12"]), {"AU6": 2.5, "AU12": 2.5})
+    ds = binarize(dataset_of(recs, ["AU6", "AU12"]), {"AU6": 2.5, "AU12": 2.5})
     rep = conditional_bias_report(ds, ["AU6", "AU12"], "age_group")
     assert rep.logistic is None
     assert rep.logistic_error.startswith("SingularDesign")
@@ -108,7 +106,7 @@ def _two_group_dataset(n_pos_f, n_f, n_pos_m, n_m, au6=1, au12=1):
             recs.append(record(i, 3.0 if au6 else 1.0, 3.0 if au12 else 1.0,
                                1 if j < n_pos else 0, gender))
             i += 1
-    ds = make_dataset(recs, ["AU6", "AU12"])
+    ds = dataset_of(recs, ["AU6", "AU12"])
     return binarize(ds, {"AU6": 2.0, "AU12": 2.0})
 
 
@@ -146,8 +144,8 @@ def test_conditional_report_insufficient_cell():
 
 
 def test_conditional_report_requires_binarization():
-    ds = make_dataset([record(0, 1.0, 1.0, 0, "F"),
-                       record(1, 2.0, 2.0, 1, "M")], ["AU6", "AU12"])
+    ds = dataset_of([record(0, 1.0, 1.0, 0, "F"),
+                     record(1, 2.0, 2.0, 1, "M")], ["AU6", "AU12"])
     with pytest.raises(NotBinarized):
         conditional_bias_report(ds, ["AU6", "AU12"], "gender")
 
@@ -185,21 +183,19 @@ def test_group_is_significant_on_biased_data(biased_dataset):
 
 
 def _multi_group_dataset(props, n_per_level=2000):
-    from aucal.data import AnnotatedRecord
-
     recs = []
     i = 0
     for lvl, prop in props.items():
         n_pos = round(prop * n_per_level)
         for j in range(n_per_level):
-            recs.append(AnnotatedRecord(
+            recs.append(Row(
                 id=f"m{i}",
                 au_intensities={"AU6": 3.0, "AU12": 3.0},
                 label=1 if j < n_pos else 0,
                 group={"age_group": lvl},
             ))
             i += 1
-    ds = make_dataset(recs, ["AU6", "AU12"])
+    ds = dataset_of(recs, ["AU6", "AU12"])
     return binarize(ds, {"AU6": 2.0, "AU12": 2.0})
 
 
@@ -227,7 +223,7 @@ def test_multi_group_merge_policy():
     ds = _multi_group_dataset({"a": 0.5, "b": 0.6, "c": 0.4})
     # add a sliver level too small to test on its own
     extra = _multi_group_dataset({"tiny": 0.5}, n_per_level=4)
-    merged_ds = make_dataset(ds.records + extra.records, ["AU6", "AU12"])
+    merged_ds = dataset_of(rows_of(ds) + rows_of(extra), ["AU6", "AU12"])
     insufficient = multi_group_bias_report(
         merged_ds, ["AU6", "AU12"], "age_group",
         small_level_policy="insufficient")
@@ -248,7 +244,7 @@ def test_bias_curves_identical_groups():
         au12 = float(np.clip(gen.uniform(0, 5), 0, 5))
         y = int(gen.random() < _sigmoid(-3 + 0.8 * au6 + 0.6 * au12))
         recs.append(record(i, au6, au12, y, "F" if i % 2 else "M"))
-    ds = make_dataset(recs, ["AU6", "AU12"])
+    ds = dataset_of(recs, ["AU6", "AU12"])
     grid = np.linspace(0, 5, 11)
     curves = bias_curves(ds, ["AU6", "AU12"], "gender", grid=grid)
     assert len(curves) == 4  # 2 groups x 2 AUs
@@ -270,7 +266,7 @@ def test_bias_curves_injected_shift_orders_curves():
         y = int(gen.random() < _sigmoid(-3 + 0.8 * au6 + 0.6 * au12
                                         + 0.6 * female))
         recs.append(record(i, au6, au12, y, "F" if female else "M"))
-    ds = make_dataset(recs, ["AU6", "AU12"])
+    ds = dataset_of(recs, ["AU6", "AU12"])
     grid = np.linspace(0.5, 4.5, 9)
     curves = {(c.level, c.au_id): c
               for c in bias_curves(ds, ["AU6", "AU12"], "gender", grid=grid)}

@@ -4,6 +4,7 @@ import numpy as np
 
 from aucal.cli import run
 from aucal.data import CsvSchema, load_dataset
+from conftest import rows_of
 
 
 def _synth_config_file(tmp_path, seed=3, n=600, feature_dim=12, leak=4,
@@ -101,7 +102,7 @@ def test_relabel_round_trip(tmp_path):
     after = load_dataset(out, CsvSchema()).dataset
     assert len(before) == len(after)
     changed = sum(
-        a.label != b.label for a, b in zip(before.records, after.records)
+        a.label != b.label for a, b in zip(rows_of(before), rows_of(after))
     )
     flips = json.loads(fliplog.read_text(encoding="utf-8"))
     assert changed == len(flips["report"]["entries"])

@@ -7,7 +7,6 @@ from aucal.data import (
     CsvSchema,
     binarize,
     load_dataset,
-    make_dataset,
     save_dataset,
 )
 from aucal.errors import (
@@ -17,7 +16,7 @@ from aucal.errors import (
     UnknownAu,
     UnknownGroupLevel,
 )
-from conftest import record, small_dataset
+from conftest import dataset_of, record, rows_of, small_dataset
 
 CSV4 = """id,AU6,AU12,happy,gender
 a,3.0,2.8,1,F
@@ -77,7 +76,7 @@ def test_round_trip(tmp_path, biased_dataset):
     save_dataset(ds, p)
     back = load_dataset(p).dataset
     assert len(back) == len(ds)
-    for a, b in zip(ds.records, back.records):
+    for a, b in zip(rows_of(ds), rows_of(back)):
         assert a.id == b.id and a.label == b.label and a.group == b.group
         assert a.au_intensities == b.au_intensities
         assert a.au_presence == b.au_presence
@@ -85,20 +84,20 @@ def test_round_trip(tmp_path, biased_dataset):
 
 
 def test_binarize_strict_comparison():
-    ds = make_dataset(
+    ds = dataset_of(
         [record(0, 2.3, 1.5, 1, "F"), record(1, 1.5, 1.5, 0, "M")],
         ["AU6", "AU12"],
     )
     out = binarize(ds, {"AU6": 1.5, "AU12": 1.5})
-    assert out.records[0].au_presence == {"AU6": 1, "AU12": 0}
-    assert out.records[1].au_presence == {"AU6": 0, "AU12": 0}
+    assert rows_of(out)[0].au_presence == {"AU6": 1, "AU12": 0}
+    assert rows_of(out)[1].au_presence == {"AU6": 0, "AU12": 0}
     # intensities retained, labels untouched
-    assert out.records[0].au_intensities["AU6"] == 2.3
-    assert out.records[0].label == 1
+    assert rows_of(out)[0].au_intensities["AU6"] == 2.3
+    assert rows_of(out)[0].label == 1
 
 
 def test_binarize_per_group_precedence():
-    ds = make_dataset(
+    ds = dataset_of(
         [record(0, 1.5, 0.0, 0, "F"), record(1, 1.5, 0.0, 0, "M")],
         ["AU6", "AU12"],
     )
@@ -108,15 +107,15 @@ def test_binarize_per_group_precedence():
         per_group={("AU6", "M"): 1.0, ("AU6", "F"): 2.0},
         group_attr="gender",
     )
-    assert out.records[0].au_presence["AU6"] == 0  # F: 1.5 > 2.0 is false
-    assert out.records[1].au_presence["AU6"] == 1  # M: 1.5 > 1.0
+    assert rows_of(out)[0].au_presence["AU6"] == 0  # F: 1.5 > 2.0 is false
+    assert rows_of(out)[1].au_presence["AU6"] == 1  # M: 1.5 > 1.0
 
 
 def test_binarize_idempotent():
     ds = small_dataset()
     once = binarize(ds, {"AU6": 1.5, "AU12": 1.5})
     twice = binarize(once, {"AU6": 1.5, "AU12": 1.5})
-    for a, b in zip(once.records, twice.records):
+    for a, b in zip(rows_of(once), rows_of(twice)):
         assert a.au_presence == b.au_presence
 
 
@@ -198,7 +197,7 @@ def test_load_drops_missing_au_before_checking_other_fields(tmp_path):
     )
     result = load_dataset(p)
     assert result.dropped_rows == 1
-    assert [r.id for r in result.dataset] == ["a", "c"]
+    assert [r.id for r in rows_of(result.dataset)] == ["a", "c"]
 
 
 @pytest.mark.parametrize("old, new, row, column", [

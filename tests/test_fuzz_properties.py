@@ -18,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aucal.cli import run
-from aucal.data import AnnotatedRecord, make_dataset
 from aucal.relabel import relabel_to_parity
+from conftest import Row, dataset_of
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -31,13 +31,13 @@ def labelled(draw):
                         max_size=3, unique=True))
     extra = draw(st.lists(st.sampled_from(["F", "M", "X"]), max_size=38))
     records = [
-        AnnotatedRecord(id=f"r{i}", au_intensities={au: 1.0 for au in aus},
-                        label=draw(st.sampled_from([-1, 0, 1, 1, 2])),
-                        group={"gender": group},
-                        au_presence={au: draw(st.integers(0, 1)) for au in aus})
+        Row(id=f"r{i}", au_intensities={au: 1.0 for au in aus},
+            label=draw(st.sampled_from([-1, 0, 1, 1, 2])),
+            group={"gender": group},
+            au_presence={au: draw(st.integers(0, 1)) for au in aus})
         for i, group in enumerate(["F", "M", *extra])
     ]
-    return make_dataset(records, aus), aus
+    return dataset_of(records, aus), aus
 
 
 @SETTINGS

@@ -3,7 +3,8 @@ typed error with exit code 1: a diverging training run, --thresholds on a
 file that already carries presence columns, thresholds for an AU outside
 --condition or with a non-finite or non-numeric value, compare specs
 whose keys or triplet settings were dropped, and compare specs and synth
-configs of the wrong JSON shape, which used to end in a traceback."""
+configs of the wrong JSON shape or with fields of the wrong type, which
+used to end in a traceback."""
 
 import json
 
@@ -204,10 +205,19 @@ def test_compare_rejects_bad_model_specs(tmp_path, capsys, model, message):
     assert not out.exists()
 
 
+_SPEC = {"data": "never-read.csv", "condition": "AU6", "positive_group": "F",
+         "models": [{"name": "m", "epochs": 1}]}
+
+
 @pytest.mark.parametrize("spec, message", [
     ([1], "compare spec must be a JSON object, not [1]"),
-    ({"data": "never-read.csv", "condition": "AU6", "positive_group": "F",
-      "models": 3}, "models must be a list of model specs"),
+    ({**_SPEC, "models": 3}, "models must be a list of model specs"),
+    ({**_SPEC, "condition": 3}, "compare spec: condition must be a string, not 3"),
+    ({**_SPEC, "data": 3}, "compare spec: data must be a string, not 3"),
+    ({k: v for k, v in _SPEC.items() if k != "condition"},
+     "compare spec: condition is missing"),
+    ({**_SPEC, "label": 3}, "compare spec: label must be a string, not 3"),
+    ({**_SPEC, "group": ["gender"]}, "compare spec: group must be a string"),
 ])
 def test_compare_rejects_misshapen_specs(tmp_path, capsys, spec, message):
     configs, out = tmp_path / "runs.json", tmp_path / "c.csv"
@@ -228,15 +238,18 @@ def test_compare_rejects_unknown_top_level_keys(tmp_path, capsys):
     assert "seeds" in capsys.readouterr().err
 
 
+_SYNTH_CONFIG = {"n": 10, "group_probs": {"F": 1.0}, "latent_positive_prob": 0.5,
+                 "au_models": {"AU6": {"mean_negative": 1.0, "mean_positive": 3.0}},
+                 "annotator_intercept": 0.0, "annotator_weights": {}}
+
+
 @pytest.mark.parametrize("change, message", [
     ({"grup_bias": {"F": 1.0}}, "unknown synth config keys: grup_bias"),
     ({"au_models": {"AU6": {"mean_negative": 1.0, "mean_positive": 3.0,
                             "sd": 0.5}}}, "unknown au_models AU6 keys: sd"),
 ])
 def test_synth_rejects_unknown_config_keys(tmp_path, capsys, change, message):
-    raw = {"n": 10, "group_probs": {"F": 1.0}, "latent_positive_prob": 0.5,
-           "au_models": {"AU6": {"mean_negative": 1.0, "mean_positive": 3.0}},
-           "annotator_intercept": 0.0, "annotator_weights": {}}
+    raw = _SYNTH_CONFIG
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**raw, **change}), encoding="utf-8")
     out = tmp_path / "x.csv"
@@ -257,6 +270,21 @@ def test_synth_rejects_misshapen_configs(tmp_path, capsys, config, message):
     assert run(["synth", "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert message in err and "usage:" in err and not out.exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"n": "10"}, "n must be an integer, not '10'"),
+    ({"n": 10.5}, "n must be an integer, not 10.5"),
+    ({"group_probs": [1]}, "group_probs must map names to values, not [1]"),
+    ({"au_models": {"AU6": {"mean_negative": "1", "mean_positive": 3.0}}},
+     "au_models['AU6'].mean_negative must be a finite number, not '1'"),
+])
+def test_synth_rejects_config_values_of_the_wrong_type(tmp_path, capsys, change,
+                                                       message):
+    path, out = tmp_path / "config.json", tmp_path / "x.csv"
+    path.write_text(json.dumps({**_SYNTH_CONFIG, **change}), encoding="utf-8")
+    assert run(["synth", "--config", str(path), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err and not out.exists()
 
 
 @pytest.mark.parametrize("kwargs", [

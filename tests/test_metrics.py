@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aucal.data import binarize, make_dataset
+from aucal.data import binarize
 from aucal.errors import InfeasibleBalance, Misaligned, MissingGroup, SingleClass
 from aucal.metrics import (
     EvalResult,
@@ -12,7 +12,7 @@ from aucal.metrics import (
     summarize_runs,
 )
 from aucal.rng import Rng
-from conftest import record
+from conftest import dataset_of, record, rows_of
 
 
 def _predictions(rate_f, n_f, rate_m, n_m):
@@ -111,7 +111,7 @@ def _scored_dataset(n_f=400, n_m=400, rate_f=0.6, rate_m=0.3, seed=0):
             # mid-range scores so nothing gets pruned
             scores.append(float(gen.uniform(0.2, 0.8)))
             i += 1
-    ds = binarize(make_dataset(recs, ["AU6", "AU12"]), {"AU6": 2.0, "AU12": 2.0})
+    ds = binarize(dataset_of(recs, ["AU6", "AU12"]), {"AU6": 2.0, "AU12": 2.0})
     return ds, np.array(scores)
 
 
@@ -124,7 +124,7 @@ def test_fair_test_set_rate_balance():
     n_min = min(int((grp == lvl).sum()) for lvl in ("F", "M"))
     assert abs(rates["F"] - rates["M"]) <= 1.0 / n_min
     # balancing only drops records from the over-represented stratum
-    assert set(r.id for r in fair.records) <= set(r.id for r in ds.records)
+    assert set(r.id for r in rows_of(fair)) <= set(r.id for r in rows_of(ds))
     assert int((grp == "M").sum()) == 400  # under-represented group intact
 
 
@@ -134,7 +134,7 @@ def test_fair_test_set_prunes_easy_scores():
     scores[:10] = 1e-9   # below easy_low
     scores[10:20] = 1.0  # above easy_high
     fair = build_fair_test_set(ds, scores, "gender")
-    kept_ids = {r.id for r in fair.records}
+    kept_ids = {r.id for r in rows_of(fair)}
     assert all(f"r{i}" not in kept_ids for i in range(20))
 
 
@@ -145,7 +145,7 @@ def test_fair_test_set_low_only_prune():
     scores[1] = 0.999  # high scores survive when easy_high is disabled
     fair = build_fair_test_set(ds, scores, "gender",
                                easy_low=0.05, easy_high=None)
-    kept_ids = {r.id for r in fair.records}
+    kept_ids = {r.id for r in rows_of(fair)}
     assert "r0" not in kept_ids
     assert "r1" in kept_ids
 
@@ -186,7 +186,7 @@ def test_fair_test_set_deterministic():
     ds, scores = _scored_dataset()
     a = build_fair_test_set(ds, scores, "gender", seed=5)
     b = build_fair_test_set(ds, scores, "gender", seed=5)
-    assert [r.id for r in a.records] == [r.id for r in b.records]
+    assert [r.id for r in rows_of(a)] == [r.id for r in rows_of(b)]
 
 
 def test_evaluate_perfect_scores():

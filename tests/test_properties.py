@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from aucal.audit import conditional_bias_report
 from aucal.aucfer import stratified_order
-from aucal.data import AnnotatedRecord, AuCellKey, load_dataset, make_dataset, save_dataset, strata
+from aucal.data import AuCellKey, load_dataset, save_dataset, strata
 from aucal.rng import Rng
+from conftest import Row, dataset_of
 
 AU_POOL = ["AU1", "AU2", "AU4", "AU5", "AU10", "AU12", "AU23"]
 NAMES = st.text(alphabet="abzXY019_-", min_size=1, max_size=5)
@@ -36,7 +37,7 @@ def datasets(draw, aus=None, max_rows=12, binarized=None):
     intensity = st.floats(0.0, 5.0)
     feature = st.floats(allow_nan=False, allow_infinity=False)
     records = [
-        AnnotatedRecord(
+        Row(
             id=draw(NAMES),
             au_intensities={au: draw(intensity) for au in aus},
             label=draw(st.integers(-2, 3)),
@@ -49,7 +50,7 @@ def datasets(draw, aus=None, max_rows=12, binarized=None):
         )
         for _ in range(n)
     ]
-    return make_dataset(records, aus, feature_dim=d)
+    return dataset_of(records, aus, feature_dim=d)
 
 
 @SETTINGS
@@ -79,10 +80,10 @@ def test_strata_visit_cells_in_describe_order(aus, data):
     n = data.draw(st.integers(1, 40))
     bits = [data.draw(st.lists(st.integers(0, 1), min_size=len(aus),
                                max_size=len(aus))) for _ in range(n)]
-    ds = make_dataset(
-        [AnnotatedRecord(id=f"r{i}", au_intensities=dict.fromkeys(aus, 0.0),
-                         label=0, group={"gender": "F"},
-                         au_presence=dict(zip(aus, row)))
+    ds = dataset_of(
+        [Row(id=f"r{i}", au_intensities=dict.fromkeys(aus, 0.0),
+             label=0, group={"gender": "F"},
+             au_presence=dict(zip(aus, row)))
          for i, row in enumerate(bits)],
         aus,
     )

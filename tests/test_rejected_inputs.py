@@ -10,7 +10,8 @@ import pytest
 
 from aucal.audit import conditional_bias_report
 from aucal.cli import run
-from aucal.data import AnnotatedRecord, binarize, make_dataset, save_dataset
+from aucal.data import binarize, save_dataset
+from conftest import Row, dataset_of
 
 AUS = ["AU6", "AU12"]
 
@@ -20,11 +21,11 @@ def _other_level_dataset():
     all in one AU cell."""
     sizes = {"a": 40, "b": 40, "other": 40, "tiny": 4}
     records = [
-        AnnotatedRecord(id=f"{level}{i}", au_intensities={"AU6": 3.0, "AU12": 3.0},
-                        label=i % 2, group={"age_group": level})
+        Row(id=f"{level}{i}", au_intensities={"AU6": 3.0, "AU12": 3.0},
+            label=i % 2, group={"age_group": level})
         for level, n in sizes.items() for i in range(n)
     ]
-    return binarize(make_dataset(records, AUS), {au: 2.5 for au in AUS})
+    return binarize(dataset_of(records, AUS), {au: 2.5 for au in AUS})
 
 
 def test_merge_rejects_a_level_named_other():

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from aucal.audit import conditional_bias_report
-from aucal.data import binarize, make_dataset
+from aucal.data import binarize
 from aucal.errors import InvalidCount, NotBinarized
 from aucal.relabel import balanced_subsample, relabel_to_parity
-from conftest import record
+from conftest import dataset_of, record, rows_of
 
 
 def _one_cell_dataset(n_pos_f, n_f, n_pos_m, n_m):
@@ -15,7 +15,7 @@ def _one_cell_dataset(n_pos_f, n_f, n_pos_m, n_m):
         for j in range(n):
             recs.append(record(i, 3.0, 3.0, 1 if j < n_pos else 0, gender))
             i += 1
-    ds = make_dataset(recs, ["AU6", "AU12"])
+    ds = dataset_of(recs, ["AU6", "AU12"])
     return binarize(ds, {"AU6": 2.0, "AU12": 2.0})
 
 
@@ -51,7 +51,7 @@ def test_total_positive_count_nearly_preserved():
 def test_only_labels_change():
     ds = _one_cell_dataset(60, 100, 40, 100)
     out, _ = relabel_to_parity(ds, ["AU6", "AU12"], "gender")
-    for before, after in zip(ds.records, out.records):
+    for before, after in zip(rows_of(ds), rows_of(out)):
         assert before.id == after.id
         assert before.au_intensities == after.au_intensities
         assert before.au_presence == after.au_presence
@@ -85,8 +85,8 @@ def test_post_relabel_parity(biased_dataset):
 
 
 def test_relabel_requires_binarized():
-    ds = make_dataset([record(0, 1.0, 1.0, 0, "F"),
-                       record(1, 3.0, 3.0, 1, "M")], ["AU6", "AU12"])
+    ds = dataset_of([record(0, 1.0, 1.0, 0, "F"),
+                     record(1, 3.0, 3.0, 1, "M")], ["AU6", "AU12"])
     with pytest.raises(NotBinarized):
         relabel_to_parity(ds, ["AU6", "AU12"], "gender")
 
@@ -137,4 +137,4 @@ def test_balanced_subsample_deterministic(biased_dataset):
     ds, _ = biased_dataset
     a = balanced_subsample(ds, ["AU6", "AU12"], "gender", 50, seed=9)
     b = balanced_subsample(ds, ["AU6", "AU12"], "gender", 50, seed=9)
-    assert [r.id for r in a.dataset.records] == [r.id for r in b.dataset.records]
+    assert [r.id for r in rows_of(a.dataset)] == [r.id for r in rows_of(b.dataset)]

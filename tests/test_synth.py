@@ -13,14 +13,14 @@ from aucal.synth import (
     generate,
     with_fair_test_labels,
 )
-from conftest import biased_config
+from conftest import biased_config, rows_of
 
 
 def test_generate_deterministic():
     cfg = biased_config(seed=42, n=500, feature_dim=12, leak=4)
     a = generate(cfg)
     b = generate(cfg)
-    assert [r.label for r in a.dataset] == [r.label for r in b.dataset]
+    assert [r.label for r in rows_of(a.dataset)] == [r.label for r in rows_of(b.dataset)]
     np.testing.assert_array_equal(a.fair_labels, b.fair_labels)
     np.testing.assert_array_equal(a.dataset.feature_matrix(),
                                   b.dataset.feature_matrix())
@@ -32,8 +32,8 @@ def test_generate_stream_separation():
     base = biased_config(seed=7, n=800, feature_dim=12, leak=4)
     loud = replace(base, feature_noise_std=2.0)
     a, b = generate(base), generate(loud)
-    assert [r.label for r in a.dataset] == [r.label for r in b.dataset]
-    assert [r.group for r in a.dataset] == [r.group for r in b.dataset]
+    assert [r.label for r in rows_of(a.dataset)] == [r.label for r in rows_of(b.dataset)]
+    assert [r.group for r in rows_of(a.dataset)] == [r.group for r in rows_of(b.dataset)]
     np.testing.assert_array_equal(a.dataset.intensities("AU6"),
                                   b.dataset.intensities("AU6"))
     assert not np.array_equal(a.dataset.feature_matrix(),
@@ -45,7 +45,7 @@ def test_generate_no_features_stream_unchanged():
     plain = biased_config(seed=7, n=800)
     with_feats = biased_config(seed=7, n=800, feature_dim=12, leak=4)
     a, b = generate(plain), generate(with_feats)
-    assert [r.label for r in a.dataset] == [r.label for r in b.dataset]
+    assert [r.label for r in rows_of(a.dataset)] == [r.label for r in rows_of(b.dataset)]
 
 
 def test_generate_empty():
@@ -97,7 +97,7 @@ def test_leak_dims_carry_group_signal():
 def test_test_fraction_split():
     cfg = biased_config(seed=4, n=10000, test_fraction=0.3)
     res = generate(cfg)
-    frac = np.mean([r.split == "test" for r in res.dataset])
+    frac = np.mean([r.split == "test" for r in rows_of(res.dataset)])
     assert abs(frac - 0.3) < 0.02
 
 
@@ -121,6 +121,27 @@ def test_invalid_configs():
         generate(replace(
             good, au_models={"AU6": AuModel(1.0, 3.0, 0.0, 0.8),
                              "AU12": AuModel(1.0, 3.0)}))
+
+
+@pytest.mark.parametrize("change", [
+    {"n": "10"},
+    {"n": 10.5},
+    {"n": True},
+    {"group_probs": [1]},
+    {"group_probs": {1: 1.0}, "group_bias": {}},
+    {"annotator_intercept": float("nan")},
+    {"thresholds": {"AU6": float("inf")}},
+    {"group_attr": 3},
+    {"seed": 1e300},
+    {"au_models": {"AU6": AuModel("1", 3.0), "AU12": AuModel(1.0, 3.0)}},
+    {"au_models": {"AU6": {"mean_negative": 1.0, "mean_positive": 3.0},
+                   "AU12": AuModel(1.0, 3.0)}},
+])
+def test_config_values_of_the_wrong_type_are_invalid(change):
+    # checked in validate, so library callers get InvalidConfig, not a
+    # TypeError or a numpy error from deep inside generate
+    with pytest.raises(InvalidConfig, match="must (be|map)"):
+        generate(replace(biased_config(n=10), **change))
 
 
 def test_fair_labels_group_blind():
@@ -147,7 +168,7 @@ def test_with_fair_test_labels_swaps_only_test_split():
     cfg = biased_config(seed=2, n=4000, test_fraction=0.4)
     res = generate(cfg)
     swapped = with_fair_test_labels(res)
-    for i, (old, new) in enumerate(zip(res.dataset.records, swapped.records)):
+    for i, (old, new) in enumerate(zip(rows_of(res.dataset), rows_of(swapped))):
         if old.split == "train":
             assert new.label == old.label
         else:
