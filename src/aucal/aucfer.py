@@ -23,6 +23,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidLabel,
     NoFeatures,
+    check_types,
 )
 from .rng import Rng
 
@@ -33,11 +34,6 @@ class ModelParams:
     b1: np.ndarray  # (d_emb,)
     W2: np.ndarray  # (d_emb, n_classes)
     b2: np.ndarray  # (n_classes,)
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            self.W1.copy(), self.b1.copy(), self.W2.copy(), self.b2.copy()
-        )
 
 
 @dataclass(frozen=True)
@@ -53,6 +49,7 @@ class TrainConfig:
     triplet_reduction: str = "mean"  # "sum" | "mean"
 
     def __post_init__(self):
+        check_types(self)
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
         if self.learning_rate <= 0 or self.epochs < 1 or self.d_emb < 1:

@@ -299,32 +299,6 @@ def conditional_bias_report(
     )
 
 
-def multi_group_bias_report(
-    dataset: Dataset,
-    conditioning: Sequence[str],
-    group_attr: str,
-    mode: str = "joint",
-    min_expected: float = 5.0,
-    small_level_policy: str = "insufficient",
-) -> BiasReport:
-    """Audit for attributes with three or more levels (age groups, race).
-    Flags the level with the highest positive proportion when significant;
-    small_level_policy='merge' folds sparse levels into 'other' instead of
-    abandoning the cell."""
-    levels = dataset.attribute_levels[group_attr]
-    if len(levels) < 3:
-        raise ValueError("multi_group_bias_report expects >= 3 group levels")
-    return conditional_bias_report(
-        dataset,
-        conditioning,
-        group_attr,
-        mode=mode,
-        min_expected=min_expected,
-        include_logistic=False,
-        small_level_policy=small_level_policy,
-    )
-
-
 @dataclass(frozen=True)
 class GroupCurve:
     level: str

@@ -14,18 +14,11 @@ import numpy as np
 
 from . import __version__
 from .audit import bias_curves, conditional_bias_report
-from .aucfer import (
-    ModelParams,
-    TrainConfig,
-    TrainResult,
-    predict,
-    train,
-    train_cross_entropy_only,
-)
+from .aucfer import ModelParams, TrainConfig, TrainResult, predict, train
 from .calibrate import calibrate_per_group
 from .data import (AU_MAX, AU_MIN, DEFAULT_THRESHOLD, CsvColumns, CsvSchema,
                    binarize, load_dataset, save_dataset)
-from .errors import AucalError, InvalidModel, IoError
+from .errors import AucalError, EmptyDataset, InvalidModel, IoError, holds
 from .metrics import build_fair_test_set, evaluate, summarize_runs
 from .relabel import relabel_to_parity
 from .report import (
@@ -66,8 +59,7 @@ def _load_binarized(path, label_col, condition, thresholds):
         if au not in aus:
             raise _UsageError(f"threshold for {au}, which is not a condition AU "
                               f"({', '.join(aus)})")
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not abs(value) <= sys.float_info.max):  # nan, inf, a huge int
+        if not holds(value, float):
             raise _UsageError(f"threshold {au}={value!r} is not a finite number")
     result = load_dataset(path, CsvSchema(label_col=label_col))
     dataset = result.dataset
@@ -233,11 +225,7 @@ _TRAIN_FLAGS = {"--lambda": "lam", "--margin": "margin", "--lr": "learning_rate"
 def _cmd_train(args) -> int:
     dataset, aus = _load_data(args)
     config = TrainConfig(**{f: getattr(args, f) for f in _TRAIN_FLAGS.values()})
-    if args.baseline:
-        config = dataclasses.replace(config, lam=0.0)
-        result = train_cross_entropy_only(dataset, config, aus)
-    else:
-        result = train(dataset, config, aus)
+    result = train(dataset, config, aus)
     _save_model(result, config, args.out)
     final = result.loss_trace[-1]
     print(
@@ -290,6 +278,10 @@ def _cmd_compare(args) -> int:
             for seed in range(args.seeds)]))
     dataset, _ = _load_binarized(spec["data"], spec["label"], spec["condition"],
                                  spec["thresholds"])
+    test = dataset.split_part("test")
+    if len(test) == 0:  # the models train on this file's train split
+        raise EmptyDataset(f"{spec['data']}: no rows with split == 'test' "
+                           f"to evaluate on")
     aus = spec["condition"].split(",")
     group, positive_group = spec["group"], spec["positive_group"]
     summaries = []
@@ -297,7 +289,6 @@ def _cmd_compare(args) -> int:
         results = []
         for config in configs:
             trained = train(dataset, config, aus)
-            test = dataset.split_part("test")
             scores, _ = predict(trained.params, test.feature_matrix())
             results.append(evaluate(scores, test, group, positive_group))
         summaries.append(summarize_runs(name, results))
@@ -440,8 +431,6 @@ def build_parser() -> _Parser:
     for flag, name in _TRAIN_FLAGS.items():
         default = getattr(defaults, name)
         p.add_argument(flag, dest=name, type=type(default), default=default)
-    p.add_argument("--baseline", action="store_true",
-                   help="cross-entropy-only trainer")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a trained model")

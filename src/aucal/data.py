@@ -23,6 +23,7 @@ from .errors import (
     MissingColumn,
     NotBinarized,
     ParseError,
+    RepeatedAu,
     UnknownAu,
     UnknownGroupLevel,
 )
@@ -57,9 +58,6 @@ class AuCellKey:
 
     def describe(self) -> str:
         return ",".join(f"{au}={bit}" for au, bit in self.items)
-
-    def __str__(self) -> str:
-        return self.describe()
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,6 +178,8 @@ class Dataset:
         return self.binarized.issuperset(au_ids)
 
     def cell_keys(self, au_ids: Sequence[str]) -> CellKeys:
+        if len(set(au_ids)) < len(au_ids):  # AU6,AU6 would give impossible cells
+            raise RepeatedAu(f"an AU is named twice in {list(au_ids)}")
         if not self.is_binarized(au_ids):
             raise NotBinarized(f"dataset not binarized for {list(au_ids)}")
         aus = sorted(au_ids)

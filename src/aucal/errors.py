@@ -1,4 +1,11 @@
-"""Exception hierarchy for the aucal library."""
+"""Exception hierarchy for the aucal library, and the field type check
+that raises InvalidConfig for every config dataclass."""
+
+import dataclasses
+import numbers
+import sys
+from collections.abc import Mapping
+from typing import get_args, get_origin, get_type_hints
 
 
 class AucalError(Exception):
@@ -42,6 +49,10 @@ class UnknownGroupLevel(AucalError):
 
 
 class NotBinarized(AucalError):
+    pass
+
+
+class RepeatedAu(AucalError):
     pass
 
 
@@ -125,6 +136,41 @@ class InfeasibleBalance(AucalError):
 
 class InvalidConfig(AucalError):
     pass
+
+
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
+
+
+def holds(value, kind) -> bool:
+    """Whether value is a kind: an int (not a bool) for int, a finite
+    number (not a bool) for float, an instance of kind otherwise."""
+    if isinstance(value, bool):
+        return False
+    if kind is int:
+        return isinstance(value, numbers.Integral)
+    if kind is float:  # abs(nan) <= max is false, and an int too big is rejected
+        return isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
+
+
+def check_types(config, where: str = "") -> None:
+    """InvalidConfig unless every field of the dataclass config holds its
+    annotated type (see holds), a mapping with string keys for
+    Mapping[str, T], and each nested dataclass in turn."""
+    for name, kind in get_type_hints(type(config)).items():
+        value, label = getattr(config, name), where + name
+        items = [(label, value)]
+        if get_origin(kind) is Mapping:
+            if not (isinstance(value, Mapping) and all(isinstance(k, str) for k in value)):
+                raise InvalidConfig(f"{label} must map names to values, not {value!r:.40}")
+            kind = get_args(kind)[1]
+            items = [(f"{label}[{k!r}]", v) for k, v in value.items()]
+        for item, v in items:
+            if not holds(v, kind):
+                what = _TYPE_NAMES.get(kind, f"of type {kind.__name__}")
+                raise InvalidConfig(f"{item} must be {what}, not {v!r:.40}")
+            if dataclasses.is_dataclass(kind):
+                check_types(v, f"{item}.")
 
 
 class InvalidCount(AucalError):

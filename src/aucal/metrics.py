@@ -10,6 +10,7 @@ import numpy as np
 
 from .data import Dataset, au_sort_key, strata
 from .errors import (
+    EmptyInput,
     InfeasibleBalance,
     Misaligned,
     MissingGroup,
@@ -61,7 +62,9 @@ def select_threshold(
     y = np.asarray(labels, dtype=int)
     if s.size != y.size:
         raise Misaligned("scores/labels length mismatch")
-    if y.min(initial=1) == y.max(initial=0):
+    if s.size == 0:
+        raise EmptyInput("no scores to select a threshold for")
+    if y.min() == y.max():
         raise SingleClass("need both classes to select a threshold")
     distinct = np.unique(s)
     mids = (distinct[:-1] + distinct[1:]) / 2.0
@@ -218,6 +221,8 @@ class RunSummary:
 
 def summarize_runs(name: str, results: Sequence[EvalResult]) -> RunSummary:
     """Mean +/- sample (n-1) standard deviation over seeded runs."""
+    if len(results) == 0:
+        raise EmptyInput(f"{name}: no runs to summarize")
     disc = np.array([r.disc_abs for r in results])
     acc = np.array([r.accuracy for r in results])
     ddof = 1 if len(results) > 1 else 0

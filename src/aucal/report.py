@@ -82,14 +82,13 @@ def file_digest(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def report_header(seed: int | None = None, input_path: str | Path | None = None,
-                  **extra) -> dict:
+def report_header(seed: int | None = None,
+                  input_path: str | Path | None = None) -> dict:
     header = {"tool": "aucal", "version": __version__}
     if seed is not None:
         header["seed"] = seed
     if input_path is not None:
         header["input_digest"] = file_digest(input_path)
-    header.update(extra)
     return header
 
 

@@ -11,17 +11,14 @@ serve as the oracle for audit tolerances.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .data import AU_MAX, AU_MIN, DEFAULT_THRESHOLD, AuCellKey, Dataset, au_sort_key
-from .errors import InvalidConfig
+from .errors import InvalidConfig, check_types
 from .rng import Rng
 from .stats import sigmoid
 
@@ -61,7 +58,7 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        _check_types(self)
+        check_types(self)
         if self.n < 0:
             raise InvalidConfig("n must be >= 0")
         total = sum(self.group_probs.values())
@@ -95,39 +92,6 @@ class SynthConfig:
 
     def au_ids(self) -> list[str]:
         return sorted(self.au_models, key=au_sort_key)
-
-
-_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string",
-               AuModel: "an AuModel"}
-
-
-def _holds(value, kind) -> bool:
-    if isinstance(value, bool):
-        return False
-    if kind is int:
-        return isinstance(value, numbers.Integral)
-    if kind is float:  # abs(nan) <= max is false, and an int too big is rejected
-        return isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
-    return isinstance(value, kind)
-
-
-def _check_types(config, where: str = "") -> None:
-    """InvalidConfig unless every field of the dataclass config holds its
-    annotated type: an int (not a bool) for int, a finite number for float,
-    a mapping with string keys for Mapping[str, T], each AuModel in turn."""
-    for name, kind in get_type_hints(type(config)).items():
-        value, label = getattr(config, name), where + name
-        items = [(label, value)]
-        if get_origin(kind) is Mapping:
-            if not (isinstance(value, Mapping) and all(isinstance(k, str) for k in value)):
-                raise InvalidConfig(f"{label} must map names to values, not {value!r:.40}")
-            kind = get_args(kind)[1]
-            items = [(f"{label}[{k!r}]", v) for k, v in value.items()]
-        for item, v in items:
-            if not _holds(v, kind):
-                raise InvalidConfig(f"{item} must be {_TYPE_NAMES[kind]}, not {v!r:.40}")
-            if kind is AuModel:
-                _check_types(v, f"{item}.")
 
 
 def _truncnorm_draw(gen: np.random.Generator, mean, std, size) -> np.ndarray:

@@ -6,7 +6,6 @@ from aucal.audit import (
     conditional_bias_report,
     group_design,
     logistic_fit,
-    multi_group_bias_report,
 )
 from aucal.data import binarize
 from aucal.errors import NotBinarized, Separation, SingularDesign
@@ -204,7 +203,8 @@ def test_multi_group_argmax_flag():
     ds = _multi_group_dataset(
         {"a_le19": 0.838, "b_20_39": 0.832, "c_40_59": 0.765, "d_ge60": 0.806}
     )
-    rep = multi_group_bias_report(ds, ["AU6", "AU12"], "age_group")
+    rep = conditional_bias_report(ds, ["AU6", "AU12"], "age_group",
+                                  include_logistic=False)
     cell = [c for c in rep.cells if c.condition == "AU12=1,AU6=1"][0]
     assert cell.status == "tested"
     assert cell.p_value < 0.001
@@ -213,7 +213,8 @@ def test_multi_group_argmax_flag():
 
 def test_multi_group_identical_levels():
     ds = _multi_group_dataset({"a": 0.5, "b": 0.5, "c": 0.5}, n_per_level=400)
-    rep = multi_group_bias_report(ds, ["AU6", "AU12"], "age_group")
+    rep = conditional_bias_report(ds, ["AU6", "AU12"], "age_group",
+                                  include_logistic=False)
     cell = [c for c in rep.cells if c.condition == "AU12=1,AU6=1"][0]
     assert cell.chi_square == pytest.approx(0.0)
     assert cell.p_value == pytest.approx(1.0)
@@ -224,11 +225,12 @@ def test_multi_group_merge_policy():
     # add a sliver level too small to test on its own
     extra = _multi_group_dataset({"tiny": 0.5}, n_per_level=4)
     merged_ds = dataset_of(rows_of(ds) + rows_of(extra), ["AU6", "AU12"])
-    insufficient = multi_group_bias_report(
-        merged_ds, ["AU6", "AU12"], "age_group",
+    insufficient = conditional_bias_report(
+        merged_ds, ["AU6", "AU12"], "age_group", include_logistic=False,
         small_level_policy="insufficient")
-    merged = multi_group_bias_report(
-        merged_ds, ["AU6", "AU12"], "age_group", small_level_policy="merge")
+    merged = conditional_bias_report(
+        merged_ds, ["AU6", "AU12"], "age_group", include_logistic=False,
+        small_level_policy="merge")
     cell_i = [c for c in insufficient.cells if c.condition == "AU12=1,AU6=1"][0]
     cell_m = [c for c in merged.cells if c.condition == "AU12=1,AU6=1"][0]
     assert cell_i.status == "insufficient_data"

@@ -128,31 +128,6 @@ def test_train_eval_round_trip(tmp_path, capsys):
     assert "disc_abs" in payload["report"]
 
 
-def test_train_baseline_matches_lambda_zero(tmp_path):
-    data = _make_data(tmp_path, n=1200)
-    m0, mb = tmp_path / "m0.json", tmp_path / "mb.json"
-    common = ["--data", str(data), "--condition", "AU6,AU12",
-              "--epochs", "2", "--seed", "5"]
-    assert run(["train", *common, "--lambda", "0", "--out", str(m0)]) == 0
-    assert run(["train", *common, "--baseline", "--out", str(mb)]) == 0
-    a = json.loads(m0.read_text(encoding="utf-8"))
-    b = json.loads(mb.read_text(encoding="utf-8"))
-    assert a["W1"] == b["W1"]
-    assert a["W2"] == b["W2"]
-
-
-def test_train_baseline_records_lambda_zero(tmp_path):
-    # --baseline trains with no triplet term, so its saved config must say
-    # lambda 0 even though --lambda defaults to 10
-    data = _make_data(tmp_path, n=600)
-    m0, mb = tmp_path / "m0.json", tmp_path / "mb.json"
-    common = ["--data", str(data), "--condition", "AU6,AU12", "--epochs", "1"]
-    assert run(["train", *common, "--baseline", "--out", str(mb)]) == 0
-    assert run(["train", *common, "--lambda", "0", "--out", str(m0)]) == 0
-    assert json.loads(mb.read_text(encoding="utf-8"))["config"]["lambda"] == 0.0
-    assert mb.read_bytes() == m0.read_bytes()
-
-
 def test_calibrate_command(tmp_path):
     gen = np.random.default_rng(4)
     rows = ["id,AU6,AU6_true,gender"]

@@ -1,12 +1,12 @@
 """CLI behaviour that follows from library defaults: the audit of a 3-level
-group equals the library's multi-group report, a 2-level audit carries the
-pooled logistic fit, and `aucal train` with only its required flags trains
-and saves the configuration of a default TrainConfig."""
+group equals the library's report without the logistic fit, a 2-level audit
+carries the pooled logistic fit, and `aucal train` with only its required
+flags trains and saves the configuration of a default TrainConfig."""
 
 import dataclasses
 import json
 
-from aucal.audit import multi_group_bias_report
+from aucal.audit import conditional_bias_report
 from aucal.aucfer import TrainConfig
 from aucal.cli import run
 from aucal.data import binarize, load_dataset, save_dataset
@@ -37,8 +37,9 @@ def test_three_level_audit_matches_multi_group_report(tmp_path):
                 "--group", "age_group", "--small-levels", "merge",
                 "--out", str(out)]) == 0
 
-    report = multi_group_bias_report(load_dataset(data).dataset, AUS,
-                                     "age_group", small_level_policy="merge")
+    report = conditional_bias_report(load_dataset(data).dataset, AUS, "age_group",
+                                     include_logistic=False,
+                                     small_level_policy="merge")
     assert any(cell.merged_levels for cell in report.cells)
     expected = tmp_path / "expected.json"
     emit_json(report, expected, report_header(seed=0, input_path=data))

@@ -4,18 +4,22 @@ file that already carries presence columns, thresholds for an AU outside
 --condition or with a non-finite or non-numeric value, compare specs
 whose keys or triplet settings were dropped, and compare specs and synth
 configs of the wrong JSON shape or with fields of the wrong type, which
-used to end in a traceback."""
+used to end in a traceback, a compare run with no test split or no seeds,
+and a condition that names an AU twice."""
 
 import json
 
 import numpy as np
 import pytest
 
+from aucal import cli
+from aucal.audit import conditional_bias_report
 from aucal.aucfer import TrainConfig, predict, train, train_cross_entropy_only
 from aucal.cli import _load_binarized, demo_synth_config, run
 from aucal.data import binarize, save_dataset
-from aucal.errors import Diverged
+from aucal.errors import Diverged, InvalidConfig, RepeatedAu
 from aucal.metrics import evaluate, summarize_runs
+from aucal.relabel import relabel_to_parity
 from aucal.report import summaries_csv
 from aucal.synth import generate
 from conftest import biased_config
@@ -57,13 +61,12 @@ def test_finite_blow_up_raises(trainer):
         trainer(_blow_up_data(), config, ["AU6", "AU12"])
 
 
-@pytest.mark.parametrize("extra", [[], ["--baseline"]])
-def test_train_cli_exits_1_on_finite_blow_up(tmp_path, capsys, extra):
+def test_train_cli_exits_1_on_finite_blow_up(tmp_path, capsys):
     data, model = tmp_path / "data.csv", tmp_path / "model.json"
     save_dataset(_blow_up_data(), data)
     code = run(["train", "--data", str(data), "--condition", "AU6,AU12",
                 "--lambda", "10", "--lr", "500", "--epochs", "5",
-                "--out", str(model), *extra])
+                "--out", str(model)])
     assert code == 1
     assert "diverged in epoch 1: cross-entropy" in capsys.readouterr().err
     assert not model.exists()
@@ -197,6 +200,9 @@ def test_compare_honours_sum_reduction(tmp_path):
     ({"name": "m", "max_triplets_per_anchor": 0}, "max_triplets_per_anchor"),
     (1, "model spec must be a JSON object, not 1"),
     ({"epochs": 1}, "model spec: name must be a string"),
+    ({"name": "m", "epochs": 1.5}, "epochs must be an integer, not 1.5"),
+    ({"name": "m", "lambda": True}, "lam must be a finite number, not True"),
+    ({"name": "m", "epochs": "1"}, "epochs must be an integer, not '1'"),
 ])
 def test_compare_rejects_bad_model_specs(tmp_path, capsys, model, message):
     code, out = _compare(tmp_path, tmp_path / "never-read.csv", [model])
@@ -294,3 +300,59 @@ def test_synth_rejects_config_values_of_the_wrong_type(tmp_path, capsys, change,
 def test_train_config_rejects_bad_triplet_settings(kwargs):
     with pytest.raises(ValueError):
         TrainConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"epochs": 1.5}, {"lam": True}, {"batch_size": "8"}, {"margin": float("nan")},
+    {"triplet_reduction": 1},
+])
+def test_train_config_rejects_fields_of_the_wrong_type(kwargs):
+    with pytest.raises(InvalidConfig, match="must be"):
+        TrainConfig(**kwargs)
+
+
+def test_compare_without_a_test_split_exits_1_before_training(tmp_path, capsys,
+                                                             monkeypatch):
+    data = tmp_path / "train_only.csv"
+    save_dataset(binarize(generate(biased_config(seed=3, n=400, feature_dim=6,
+                                                 leak=2)).dataset,
+                          {"AU6": 2.2, "AU12": 2.2}), data)
+
+    def no_training(*args):
+        raise AssertionError("compare trained with nothing to evaluate on")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    code, out = _compare(tmp_path, data, [{"name": "m", "epochs": 1}])
+    assert code == 1
+    assert "no rows with split == 'test'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds", [0, -2])
+def test_compare_with_no_seeds_exits_1(tmp_path, capsys, seeds):
+    code, out = _compare(tmp_path, _make_data(tmp_path, n=400),
+                         [{"name": "m", "epochs": 1}], seeds=seeds)
+    assert code == 1
+    assert "m: no runs to summarize" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("aus", [["AU6", "AU6"], ["AU12", "AU6", "AU12"]])
+def test_repeated_condition_au_is_rejected(aus):
+    dataset = _dataset(400)
+    with pytest.raises(RepeatedAu, match="named twice"):
+        dataset.cell_keys(aus)
+    with pytest.raises(RepeatedAu):
+        conditional_bias_report(dataset, aus, "gender")
+    with pytest.raises(RepeatedAu):
+        relabel_to_parity(dataset, aus, "gender", seed=0)
+
+
+@pytest.mark.parametrize("command", ["audit", "relabel", "train"])
+def test_repeated_condition_au_exits_1(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code = run([command, "--data", str(_make_data(tmp_path, n=400)),
+                "--condition", "AU6,AU6", "--out", str(out)])
+    assert code == 1
+    assert "AU is named twice" in capsys.readouterr().err
+    assert not out.exists()

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from aucal.data import binarize
-from aucal.errors import InfeasibleBalance, Misaligned, MissingGroup, SingleClass
+from aucal.errors import (EmptyInput, InfeasibleBalance, Misaligned, MissingGroup,
+                          SingleClass)
 from aucal.metrics import (
     EvalResult,
     build_fair_test_set,
@@ -221,3 +222,17 @@ def test_summarize_runs_moments():
 def test_summarize_single_run_zero_std():
     summary = summarize_runs("one", [EvalResult(0.5, 0.8, 0.5, {}, 0.1, 0.1)])
     assert summary.std_disc_abs == 0.0
+
+
+def test_threshold_and_evaluate_reject_zero_scores():
+    with pytest.raises(EmptyInput, match="no scores"):
+        select_threshold([], [])
+    ds = dataset_of([record(i, 1.0, 1.0, i % 2, "F" if i % 2 else "M")
+                     for i in range(4)], ["AU6", "AU12"])
+    with pytest.raises(EmptyInput, match="no scores"):
+        evaluate(np.zeros(0), ds.split_part("test"), "gender", "F")
+
+
+def test_summarize_runs_rejects_no_runs():
+    with pytest.raises(EmptyInput, match="no runs"):
+        summarize_runs("m", [])
