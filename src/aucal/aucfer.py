@@ -21,6 +21,7 @@ from .errors import (
     Diverged,
     EmptyTrainSplit,
     IndexOutOfRange,
+    InvalidConfig,
     InvalidLabel,
     NoFeatures,
     check_types,
@@ -51,15 +52,15 @@ class TrainConfig:
     def __post_init__(self):
         check_types(self)
         if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2")
+            raise InvalidConfig("batch_size must be >= 2")
         if self.learning_rate <= 0 or self.epochs < 1 or self.d_emb < 1:
-            raise ValueError("rates, epochs, d_emb must be positive")
+            raise InvalidConfig("rates, epochs, d_emb must be positive")
         if self.lam < 0 or self.margin < 0:
-            raise ValueError("lambda and margin must be >= 0")
+            raise InvalidConfig("lambda and margin must be >= 0")
         if self.max_triplets_per_anchor < 1 or self.triplet_reduction not in (
                 "sum", "mean"):
-            raise ValueError("max_triplets_per_anchor must be >= 1 and "
-                             "triplet_reduction 'sum' or 'mean'")
+            raise InvalidConfig("max_triplets_per_anchor must be >= 1 and "
+                                "triplet_reduction 'sum' or 'mean'")
 
 
 @dataclass

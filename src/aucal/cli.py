@@ -18,7 +18,7 @@ from .aucfer import ModelParams, TrainConfig, TrainResult, predict, train
 from .calibrate import calibrate_per_group
 from .data import (AU_MAX, AU_MIN, DEFAULT_THRESHOLD, CsvColumns, CsvSchema,
                    binarize, load_dataset, save_dataset)
-from .errors import AucalError, EmptyDataset, InvalidModel, IoError, holds
+from .errors import AucalError, EmptyDataset, InvalidConfig, InvalidModel, IoError, holds
 from .metrics import build_fair_test_set, evaluate, summarize_runs
 from .relabel import relabel_to_parity
 from .report import (
@@ -139,6 +139,9 @@ def _config_from(cls, raw: dict, where: str, **fixed):
         return cls(**{names[k]: v for k, v in raw.items()}, **fixed)
     except TypeError as exc:  # a field without a default is missing
         raise _UsageError(f"{where}: {exc}") from None
+    except InvalidConfig as exc:  # name the field as the JSON spells it
+        name, _, rest = str(exc).partition(" ")
+        raise InvalidConfig(f"{_JSON_NAME.get(name, name)} {rest}") from None
 
 
 def _cmd_synth(args) -> int:

@@ -15,7 +15,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .data import AU_MAX, AU_MIN, DEFAULT_THRESHOLD, AuCellKey, Dataset, au_sort_key
 from .errors import InvalidConfig, check_types
@@ -96,6 +95,8 @@ class SynthConfig:
 
 def _truncnorm_draw(gen: np.random.Generator, mean, std, size) -> np.ndarray:
     """Inverse-CDF sampling of a normal truncated to [0, 5]."""
+    # scipy loads on the first draw, so that import aucal.cli does not pay for it
+    from scipy.special import ndtr, ndtri
     a = ndtr((AU_MIN - mean) / std)
     b = ndtr((AU_MAX - mean) / std)
     u = gen.random(size)
@@ -190,10 +191,12 @@ def _region(config: SynthConfig, au: str, bit: int) -> tuple[float, float]:
 
 
 def _truncnorm_norm(mean: float, std: float) -> float:
+    from scipy.special import ndtr
     return ndtr((AU_MAX - mean) / std) - ndtr((AU_MIN - mean) / std)
 
 
 def _region_prob(mean: float, std: float, lo: float, hi: float) -> float:
+    from scipy.special import ndtr
     z = _truncnorm_norm(mean, std)
     return (ndtr((hi - mean) / std) - ndtr((lo - mean) / std)) / z
 

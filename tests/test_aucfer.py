@@ -22,6 +22,7 @@ from aucal.errors import (
     DimensionMismatch,
     EmptyTrainSplit,
     IndexOutOfRange,
+    InvalidConfig,
     InvalidLabel,
     NoFeatures,
 )
@@ -299,11 +300,11 @@ def test_train_requires_train_split():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         TrainConfig(batch_size=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         TrainConfig(lam=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         TrainConfig(margin=-0.1)
 
 

@@ -201,7 +201,7 @@ def test_compare_honours_sum_reduction(tmp_path):
     (1, "model spec must be a JSON object, not 1"),
     ({"epochs": 1}, "model spec: name must be a string"),
     ({"name": "m", "epochs": 1.5}, "epochs must be an integer, not 1.5"),
-    ({"name": "m", "lambda": True}, "lam must be a finite number, not True"),
+    ({"name": "m", "lambda": True}, "lambda must be a finite number, not True"),
     ({"name": "m", "epochs": "1"}, "epochs must be an integer, not '1'"),
 ])
 def test_compare_rejects_bad_model_specs(tmp_path, capsys, model, message):
@@ -298,7 +298,7 @@ def test_synth_rejects_config_values_of_the_wrong_type(tmp_path, capsys, change,
     {"max_triplets_per_anchor": 0},
 ])
 def test_train_config_rejects_bad_triplet_settings(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         TrainConfig(**kwargs)
 
 

@@ -1,7 +1,11 @@
 """Every name a module in aucal imports is used in that module. The package's
-__init__.py is exempt: its imports are the public re-exports."""
+__init__.py is exempt: its imports are the public re-exports. And importing
+the CLI loads no scipy module: only synth's draws need scipy.special."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,3 +39,12 @@ def test_module_uses_every_import(path):
 def test_unused_import_is_reported():
     source = "import os\nfrom json import dumps, loads\nloads('1')\n"
     assert _unused_imports(source) == ["line 2: dumps", "line 1: os"]
+
+
+def test_cli_import_loads_no_scipy():
+    probe = ("import sys, aucal.cli; print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    src = str(Path(aucal.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
