@@ -20,6 +20,8 @@ import numpy as np
 from .errors import (
     EmptyDataset,
     InconsistentFeatureDim,
+    LengthMismatch,
+    Misaligned,
     MissingColumn,
     NotBinarized,
     ParseError,
@@ -35,6 +37,7 @@ KNOWN_GROUP_COLUMNS = ("gender", "age_group", "race")
 AU_MIN, AU_MAX = 0.0, 5.0
 DEFAULT_THRESHOLD = 2.5  # binarizes an AU that no threshold is given for
 _SAVE_CHUNK = 8192  # rows formatted at a time, so save holds few cell strings
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
 def au_sort_key(au_id: str) -> tuple[int, str]:
@@ -53,7 +56,7 @@ class AuCellKey:
         items = tuple(sorted(self.items, key=lambda kv: kv[0]))
         for au, bit in items:
             if bit not in (0, 1):
-                raise ValueError(f"presence bit must be 0/1, got {bit}")
+                raise NotBinarized(f"presence bit must be 0/1, got {bit}")
         object.__setattr__(self, "items", items)
 
     def describe(self) -> str:
@@ -94,7 +97,7 @@ class CellKeys(Sequence):
         items = [key.items for key in keys]
         au_ids = tuple(au for au, _ in items[0]) if items else ()
         if any(tuple(au for au, _ in it) != au_ids for it in items):
-            raise ValueError("cell keys condition on different AUs")
+            raise Misaligned("cell keys condition on different AUs")
         bits = np.array([[b for _, b in it] for it in items], dtype=np.int64)
         return cls(au_ids, _pack(bits.reshape(len(items), len(au_ids))))
 
@@ -197,7 +200,7 @@ class Dataset:
 
     def with_labels(self, new_labels: Sequence[int]) -> "Dataset":
         if len(new_labels) != len(self):
-            raise ValueError("label vector length mismatch")
+            raise LengthMismatch("label vector length mismatch")
         return replace(self, label=np.asarray(new_labels, dtype=np.int64))
 
     def _rows(self, index: np.ndarray | slice) -> "Dataset":
@@ -232,18 +235,20 @@ class LoadResult:
 
 class CsvColumns:
     """A CSV file read column by column, its cells stripped of surrounding
-    whitespace. A row with fewer fields than the header, and a cell that
-    does not parse, raise ParseError naming the row (the header is row 1)
-    and the column."""
+    whitespace. A row with fewer fields than the header, a field longer than
+    csv.field_size_limit() and a cell that does not parse raise ParseError
+    naming the row (the header is row 1) and, but for the long field, the column."""
 
     def __init__(self, path: str | Path):
         with Path(path).open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             try:
                 self.header = next(reader)
+                rows = list(reader)
             except StopIteration:
                 raise EmptyDataset(f"{path}: no header")
-            rows = list(reader)
+            except csv.Error as exc:
+                raise ParseError(reader.line_num, None, str(exc)) from None
         widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
         short = widths < len(self.header)
         if short.any():
@@ -253,23 +258,23 @@ class CsvColumns:
         self.index = {name: i for i, name in enumerate(self.header)}
         self.rownums = np.arange(2, len(rows) + 2)
         self._columns = list(zip(*rows)) if rows else [()] * len(self.header)
-        self._kept: list[bool] | None = None
 
     def __len__(self) -> int:
         return len(self.rownums)
 
     def keep(self, rows: np.ndarray) -> None:
-        """Read only the rows where rows is true from now on (call once)."""
+        """Read only the rows where rows is true from now on."""
         self.rownums = self.rownums[rows]
-        self._kept = rows.tolist()
+        kept = rows.tolist()
+        self._columns = [list(compress(column, kept)) for column in self._columns]
 
-    def cells(self, name: str) -> list[str]:
+    def _raw(self, name: str) -> Sequence[str]:
         if name not in self.index:
             raise MissingColumn(name)
-        column = self._columns[self.index[name]]
-        if self._kept is not None:
-            column = compress(column, self._kept)
-        return list(map(str.strip, column))
+        return self._columns[self.index[name]]
+
+    def cells(self, name: str) -> list[str]:
+        return list(map(str.strip, self._raw(name)))
 
     def reject(self, bad: np.ndarray, column: str,
                message: str | Callable[[int], str]) -> None:
@@ -281,16 +286,18 @@ class CsvColumns:
 
     def parse(self, name: str, convert: Callable, dtype, column: str,
               message: str) -> np.ndarray:
-        values = self.cells(name)
+        # float() and int() skip what str.strip removes but \x1c-\x1f: strip on failure
+        values = self._raw(name)
         try:
             return np.fromiter(map(convert, values), dtype=dtype, count=len(values))
         except (ValueError, OverflowError):  # OverflowError: beyond int64
+            values = self.cells(name)
             for rownum, value in zip(self.rownums.tolist(), values):
                 try:
                     np.array(convert(value), dtype=dtype)
                 except (ValueError, OverflowError):
                     raise ParseError(rownum, column, message) from None
-            raise
+            return np.fromiter(map(convert, values), dtype=dtype, count=len(values))
 
     def intensity(self, name: str) -> np.ndarray:
         """An AU intensity column: numbers in [AU_MIN, AU_MAX]."""
@@ -348,10 +355,11 @@ def load_dataset(path: str | Path, schema: CsvSchema | None = None) -> LoadResul
     # missing AU intensity -> drop (mirrors AU-detector failures)
     keep = np.ones(len(table), dtype=bool)
     for au in au_cols:
-        keep &= np.array(table.cells(au)) != ""
+        keep &= np.fromiter(map(bool, table.cells(au)), dtype=bool, count=len(table))
     if not keep.any():
         raise EmptyDataset(f"{path}: no usable rows")
-    table.keep(keep)
+    if not keep.all():
+        table.keep(keep)
 
     intensity = np.empty((len(table), len(au_cols)))
     for j, au in enumerate(au_cols):
@@ -413,25 +421,29 @@ def save_dataset(
     header += list(extra)
     for col, values in extra.items():
         if len(values) < len(dataset):
-            raise ValueError(f"extra column {col!r} has {len(values)} values")
+            raise LengthMismatch(f"extra column {col!r} has {len(values)} values")
 
     def reprs(columns: np.ndarray) -> list[list[str]]:
-        # repr of a Python float or int, as the CSV has always held
+        # repr of a Python float or int, as the CSV has always held (never quoted)
         return [list(map(repr, col)) for col in columns.T.tolist()]
 
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
+        fh.write(",".join(map(_csv_text, header)) + "\r\n")
         for lo in range(0, len(dataset), _SAVE_CHUNK):
             rows = slice(lo, lo + _SAVE_CHUNK)
             part = dataset._rows(rows)
-            columns = [part.ids.tolist(), *reprs(part.intensity),
+            columns = [list(map(_csv_text, part.ids.tolist())), *reprs(part.intensity),
                        *reprs(part.presence[:, binarized]), *reprs(part.label[:, None])]
-            columns += [part.group_values(g).tolist() for g in group_cols]
+            columns += [list(map(_csv_text, part.group_values(g).tolist())) for g in group_cols]
             columns.append(np.where(part.is_test, "test", "train").tolist())
             columns += reprs(part.features)
-            columns += [list(map(str, values[rows])) for values in extra.values()]
-            w.writerows(zip(*columns))
+            columns += [[_csv_text(str(v)) for v in values[rows]] for values in extra.values()]
+            fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))
+
+
+def _csv_text(cell: str) -> str:
+    """cell as csv.writer writes it (QUOTE_MINIMAL), quoted if it holds , " CR or LF."""
+    return '"' + cell.replace('"', '""') + '"' if _NEEDS_QUOTES.search(cell) else cell
 
 
 def binarize(

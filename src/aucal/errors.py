@@ -21,9 +21,10 @@ class MissingColumn(AucalError):
 
 
 class ParseError(AucalError):
-    def __init__(self, row: int, column: str, message: str = ""):
+    def __init__(self, row: int, column: str | None, message: str = ""):
         detail = f" ({message})" if message else ""
-        super().__init__(f"row {row}, column {column!r}: unparseable value{detail}")
+        where = "" if column is None else f", column {column!r}"
+        super().__init__(f"row {row}{where}: unparseable value{detail}")
         self.row = row
         self.column = column
 

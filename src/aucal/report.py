@@ -6,7 +6,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import io
-import json
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -36,7 +36,7 @@ def _encode(obj, out: list[str]) -> None:
     elif isinstance(obj, (float, np.floating)):
         out.append(_format_float(float(obj)))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(encode_basestring_ascii(obj))  # json.dumps(obj), without its overhead
     elif isinstance(obj, np.ndarray):
         _encode(obj.tolist(), out)
     elif isinstance(obj, Mapping):
@@ -47,7 +47,7 @@ def _encode(obj, out: list[str]) -> None:
         for i, key in enumerate(sorted(items)):
             if i:
                 out.append(",")
-            out.append(json.dumps(key))
+            out.append(encode_basestring_ascii(key))
             out.append(":")
             _encode(items[key], out)
         out.append("}")

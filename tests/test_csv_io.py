@@ -5,11 +5,14 @@
   them back;
 - numeric cells padded with any whitespace load to the unpadded values;
 - a bad cell raises ParseError naming its row, column and reason;
-- rows with a missing intensity are dropped and counted.
+- rows with a missing intensity are dropped and counted;
+- a field longer than csv.field_size_limit() ends in exit code 1 naming
+  its row, and the data layer's other input errors are typed.
 """
 
 import csv
 import io
+import os
 import tempfile
 from pathlib import Path
 
@@ -18,8 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aucal.data import CsvSchema, load_dataset, save_dataset
-from aucal.errors import ParseError
+from aucal.cli import run
+from aucal.data import AuCellKey, CellKeys, CsvSchema, load_dataset, save_dataset
+from aucal.errors import AucalError, LengthMismatch, Misaligned, NotBinarized, ParseError
 from conftest import Row, dataset_of
 
 HOSTILE = [",", '"', "\r", "\n", "\x00", "\t", " ", "\xa0", "\x1c", "é", "中", "😀"]
@@ -175,3 +179,39 @@ def test_dropped_rows_counted_and_later_rows_keep_their_numbers(tmp_path, missin
     with pytest.raises(ParseError) as info:
         load_dataset(p)
     assert (info.value.row, info.value.column) == (4, "AU6")
+
+
+@pytest.mark.parametrize("command, header, row", [
+    (["audit", "--condition", "AU6,AU12"], "id,AU6,AU12,label,gender,f0", "b,2,2,1,M,"),
+    (["calibrate", "--truth-cols", "AU6"], "id,AU6,AU6_true,gender,f0", "b,2,1,M,"),
+])
+def test_field_over_the_csv_limit_exits_1_naming_its_row(tmp_path, capsys, command,
+                                                         header, row):
+    data, out = tmp_path / "d.csv", tmp_path / "out.json"
+    first = ",".join(["a", "1"] + ["0"] * (header.count(",") - 2) + ["0.5"])
+    data.write_text(f"{header}\n{first}\n{row}{'1' * 140_000}\n", encoding="utf-8")
+    assert run([command[0], "--data", str(data), *command[1:], "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: row 3: unparseable value (field larger than field limit" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: AuCellKey((("AU6", 2),)), NotBinarized),
+    (lambda: CellKeys.of([AuCellKey((("AU6", 1),)), AuCellKey((("AU12", 1),))]),
+     Misaligned),
+    (lambda: _dataset().with_labels([0]), LengthMismatch),
+    (lambda: save_dataset(_dataset(), os.devnull, extra_columns={"x": [1]}),
+     LengthMismatch),
+])
+def test_data_layer_input_errors_are_typed(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert isinstance(info.value, AucalError) and not isinstance(info.value, ValueError)
+
+
+def _dataset():
+    rows = [Row(id=f"r{i}", au_intensities={"AU6": 1.0}, label=i % 2, group={"gender": "F"})
+            for i in range(3)]
+    return dataset_of(rows, ["AU6"])
