@@ -36,7 +36,7 @@ def _encode(obj, out: list[str]) -> None:
     elif isinstance(obj, (float, np.floating)):
         out.append(_format_float(float(obj)))
     elif isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))  # json.dumps(obj), without its overhead
+        out.append(encode_basestring_ascii(obj))  # the bytes json.dumps(obj) gives
     elif isinstance(obj, np.ndarray):
         _encode(obj.tolist(), out)
     elif isinstance(obj, Mapping):
