@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import Dataset, au_sort_key
-from .errors import Separation, SingularDesign
+from .errors import InvalidConfig, Separation, SingularDesign
 from .stats import (
     InsufficientData,
     chi_square_independence,
@@ -167,7 +167,7 @@ def _cell_masks(
         # a one-AU cell code is that AU's presence bit
         return [(f"{au}={b}", dataset.cell_keys([au]).codes == b)
                 for au in aus for b in (0, 1)]
-    raise ValueError(f"unknown conditioning mode {mode!r}")
+    raise InvalidConfig(f"unknown conditioning mode {mode!r}")
 
 
 def group_design(
@@ -260,7 +260,7 @@ def conditional_bias_report(
     """
     levels = dataset.attribute_levels[group_attr]
     if small_level_policy == "merge" and "other" in levels:
-        raise ValueError(f"group attribute {group_attr!r} has a level named "
+        raise InvalidConfig(f"group attribute {group_attr!r} has a level named "
                          f"'other', the name of the merge bucket")
     codes = dataset.group_codes(group_attr)
     y = (dataset.labels() == 1).astype(int)

@@ -166,14 +166,16 @@ def _cmd_synth(args) -> int:
 def _cmd_calibrate(args) -> int:
     # the calibration CSV carries AU intensities plus expert truth columns
     # named <AU>_true
-    table = CsvColumns(args.data)
+    aus = args.truth_cols.split(",")
+    text = {args.group, *(f"{au}_true" for au in aus)}  # columns read as text stay text
+    table = CsvColumns(args.data, lambda header: set(aus) - text)
     if not len(table):
         raise _UsageError(f"{args.data}: empty file")
     groups = table.cells(args.group)
     results = {
         au: calibrate_per_group(table.intensity(au), table.bits(f"{au}_true"),
                                 groups, au_id=au)
-        for au in args.truth_cols.split(",")
+        for au in aus
     }
     emit_json(results, args.out, report_header(input_path=args.data))
     print(f"wrote calibration for {sorted(results)} to {args.out}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import re
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Container, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from itertools import compress
 from pathlib import Path
@@ -237,27 +237,14 @@ class CsvColumns:
     """A CSV file read column by column, its cells stripped of surrounding
     whitespace. A row with fewer fields than the header, a field longer than
     csv.field_size_limit() and a cell that does not parse raise ParseError
-    naming the row (the header is row 1) and, but for the long field, the column."""
+    naming the row (the header is row 1) and, but for the long field, the column.
+    In a plain file, numpy converts the columns floats(header) names to float."""
 
-    def __init__(self, path: str | Path):
-        with Path(path).open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                self.header = next(reader)
-                rows = list(reader)
-            except StopIteration:
-                raise EmptyDataset(f"{path}: no header")
-            except csv.Error as exc:
-                raise ParseError(reader.line_num, None, str(exc)) from None
-        widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-        short = widths < len(self.header)
-        if short.any():
-            i = int(short.argmax())
-            raise ParseError(i + 2, self.header[widths[i]],
-                             f"row has {widths[i]} fields, header has {len(self.header)}")
+    def __init__(self, path: str | Path,
+                 floats: Callable[[list[str]], Container[str]] = lambda header: ()):
+        self.header, self._columns, n = _read_plain(path, floats) or _read_csv(path)
         self.index = {name: i for i, name in enumerate(self.header)}
-        self.rownums = np.arange(2, len(rows) + 2)
-        self._columns = list(zip(*rows)) if rows else [()] * len(self.header)
+        self.rownums = np.arange(2, n + 2)
 
     def __len__(self) -> int:
         return len(self.rownums)
@@ -266,7 +253,8 @@ class CsvColumns:
         """Read only the rows where rows is true from now on."""
         self.rownums = self.rownums[rows]
         kept = rows.tolist()
-        self._columns = [list(compress(column, kept)) for column in self._columns]
+        self._columns = [column[rows] if isinstance(column, np.ndarray)
+                         else list(compress(column, kept)) for column in self._columns]
 
     def _raw(self, name: str) -> Sequence[str]:
         if name not in self.index:
@@ -275,6 +263,11 @@ class CsvColumns:
 
     def cells(self, name: str) -> list[str]:
         return list(map(str.strip, self._raw(name)))
+
+    def filled(self, name: str) -> np.ndarray:  # a float column from numpy has no blank cell
+        values = self._raw(name)
+        return (np.ones(len(values), dtype=bool) if isinstance(values, np.ndarray) else
+                np.fromiter(map(bool, map(str.strip, values)), dtype=bool, count=len(values)))
 
     def reject(self, bad: np.ndarray, column: str,
                message: str | Callable[[int], str]) -> None:
@@ -288,6 +281,8 @@ class CsvColumns:
               message: str) -> np.ndarray:
         # float() and int() skip what str.strip removes but \x1c-\x1f: strip on failure
         values = self._raw(name)
+        if isinstance(values, np.ndarray):  # numpy's float column, as float() reads it
+            return values
         try:
             return np.fromiter(map(convert, values), dtype=dtype, count=len(values))
         except (ValueError, OverflowError):  # OverflowError: beyond int64
@@ -313,6 +308,52 @@ class CsvColumns:
         return raw == "1"
 
 
+def _read_csv(path: str | Path) -> tuple[list[str], list, int]:
+    """Header, columns and row count of any CSV file: the reference reader."""
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        rows = []
+        try:
+            rows.extend(csv.reader(fh))  # keeps the records read before a csv.Error
+        except csv.Error as exc:
+            raise ParseError(len(rows) + 1, None, str(exc)) from None
+    if not rows:
+        raise EmptyDataset(f"{path}: no header")
+    header = rows.pop(0)
+    widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    short = widths < len(header)
+    if short.any():
+        i = int(short.argmax())
+        raise ParseError(i + 2, header[widths[i]],
+                         f"row has {widths[i]} fields, header has {len(header)}")
+    return header, list(zip(*rows)) if rows else [()] * len(header), len(rows)
+
+
+def _read_plain(path: str | Path, floats: Callable) -> tuple[list[str], list, int] | None:
+    """_read_csv's result from one np.loadtxt pass, or None if the file is not
+    plain: a data row and no '"', bare CR, blank line or line longer than
+    csv.field_size_limit(), so line.split(",") gives csv.reader's cells. numpy
+    takes no float cell that float() refuses, and gives float()'s value."""
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        text = fh.read().replace("\r\n", "\n")
+    lines = [] if '"' in text or "\r" in text else text.removesuffix("\n").split("\n")
+    del text
+    if len(lines) < 2 or not all(lines) or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header = lines.pop(0).split(",")
+    typed = floats(header)
+    dtype = [(f"c{j}", float if c in typed else object) for j, c in enumerate(header)]
+    try:  # a list of lines: a StringIO would hold 4 bytes a character
+        table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                           usecols=range(len(header)), ndmin=1)
+    except (ValueError, OverflowError):  # e.g. a short row, '' or '1_0' in a float column
+        return None
+    if len(table) != len(lines):
+        return None
+    # copies, so no column keeps the structured array alive
+    return header, [np.ascontiguousarray(table[f"c{j}"]) if c in typed
+                    else table[f"c{j}"].tolist() for j, c in enumerate(header)], len(table)
+
+
 def load_dataset(path: str | Path, schema: CsvSchema | None = None) -> LoadResult:
     """Load and validate a dataset CSV, column by column.
 
@@ -321,7 +362,9 @@ def load_dataset(path: str | Path, schema: CsvSchema | None = None) -> LoadResul
     intensities and non-finite features raise ParseError.
     """
     schema = schema or CsvSchema()
-    table = CsvColumns(path)
+    table = CsvColumns(path, lambda header: {  # the label's column stays text for int()
+        c for c in header if c != schema.label_col
+        and (AU_COLUMN_RE.match(c) or FEATURE_COLUMN_RE.match(c))})
     header = table.header
     for required in ("id", schema.label_col):
         if required not in table.index:
@@ -355,7 +398,7 @@ def load_dataset(path: str | Path, schema: CsvSchema | None = None) -> LoadResul
     # missing AU intensity -> drop (mirrors AU-detector failures)
     keep = np.ones(len(table), dtype=bool)
     for au in au_cols:
-        keep &= np.fromiter(map(bool, table.cells(au)), dtype=bool, count=len(table))
+        keep &= table.filled(au)
     if not keep.any():
         raise EmptyDataset(f"{path}: no usable rows")
     if not keep.all():

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset, au_sort_key, strata
-from .errors import InvalidCount
+from .errors import InsufficientData, InvalidCount
 from .rng import Rng
 
 
@@ -52,7 +52,7 @@ def relabel_to_parity(
     keys = dataset.cell_keys(sorted(conditioning, key=au_sort_key))
     levels = dataset.attribute_levels[group_attr]
     if len(levels) < 2:
-        raise ValueError("need at least two group levels")
+        raise InsufficientData("need at least two group levels")
     codes = dataset.group_codes(group_attr)
     y = (dataset.labels() == 1).astype(int)
 

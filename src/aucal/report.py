@@ -4,8 +4,10 @@ significant digit floats) and Table-shaped CSV exports."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import io
+import math
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -19,11 +21,7 @@ from .metrics import RunSummary
 
 
 def _format_float(x: float) -> str:
-    if x != x:
-        return "null"
-    if x in (float("inf"), float("-inf")):
-        return "null"
-    return format(x, ".17g")
+    return format(x, ".17g") if math.isfinite(x) else "null"
 
 
 def _encode(obj, out: list[str]) -> None:
@@ -39,18 +37,13 @@ def _encode(obj, out: list[str]) -> None:
         out.append(encode_basestring_ascii(obj))  # the bytes json.dumps(obj) gives
     elif isinstance(obj, np.ndarray):
         _encode(obj.tolist(), out)
+    elif dataclasses.is_dataclass(obj):  # before the slower Mapping check
+        _encode_object([(name, getattr(obj, name)) for name in _field_names(type(obj))], out)
     elif isinstance(obj, Mapping):
         items = {str(k): v for k, v in obj.items()}
         if len(items) < len(obj):
             raise IoError(f"mapping keys collide as strings: {sorted(map(repr, obj))}")
-        out.append("{")
-        for i, key in enumerate(sorted(items)):
-            if i:
-                out.append(",")
-            out.append(encode_basestring_ascii(key))
-            out.append(":")
-            _encode(items[key], out)
-        out.append("}")
+        _encode_object(sorted(items.items()), out)
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, v in enumerate(obj):
@@ -58,14 +51,21 @@ def _encode(obj, out: list[str]) -> None:
                 out.append(",")
             _encode(v, out)
         out.append("]")
-    elif dataclasses.is_dataclass(obj):
-        _encode(_dataclass_dict(obj), out)
     else:
         raise IoError(f"cannot serialize {type(obj).__name__}")
 
 
-def _dataclass_dict(obj) -> dict:
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+def _encode_object(pairs: list[tuple[str, object]], out: list[str]) -> None:
+    out.append("{")  # the keys are sorted and unique
+    for i, (key, value) in enumerate(pairs):
+        out.append(("," if i else "") + encode_basestring_ascii(key) + ":")
+        _encode(value, out)
+    out.append("}")
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(sorted(f.name for f in dataclasses.fields(cls)))
 
 
 def canonical_json(obj) -> str:

@@ -7,7 +7,10 @@
 - a bad cell raises ParseError naming its row, column and reason;
 - rows with a missing intensity are dropped and counted;
 - a field longer than csv.field_size_limit() ends in exit code 1 naming
-  its row, and the data layer's other input errors are typed.
+  its row (its record, not its physical line), and the data layer's other
+  input errors are typed;
+- a plain file, which numpy's text reader reads without csv.reader, loads
+  exactly as its quoted twin does through csv.reader.
 """
 
 import csv
@@ -18,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aucal.cli import run
@@ -215,3 +218,137 @@ def _dataset():
     rows = [Row(id=f"r{i}", au_intensities={"AU6": 1.0}, label=i % 2, group={"gender": "F"})
             for i in range(3)]
     return dataset_of(rows, ["AU6"])
+
+
+def test_long_field_after_a_quoted_line_feed_names_its_record(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text('id,AU6,label,gender,f0\n"a\nb",1,0,F,0.5\nc,2,1,M,' + "1" * 140_000 + "\n",
+                 encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        load_dataset(p)
+    assert str(info.value).startswith("row 3: unparseable value (field larger than field limit")
+
+
+# Plain files (no '"', so np.loadtxt may read them), mostly well formed,
+# with the cells and line shapes where numpy and csv.reader plus
+# float()/int() could part ways mixed in.
+PADS = ["", "", "", " ", "\t", "\xa0", "　", "\x1c", "\x1d", "\x1e", "\x1f"]
+ODD = ["nan", "inf", "-inf", "1e400", "-0.0", "1_0", "１", "٣", "", " ", "x", "1e-400",
+       "99999999999999999999", "1.0", "+1", "007"]
+SAFE = st.text(st.one_of(st.sampled_from(["\x00", "\t", " ", "\xa0", "\x1c", "#", "'", "é"]),
+                         st.characters(blacklist_categories=("Cs",),
+                                       blacklist_characters=',"\r\n')), max_size=4)
+CELLS = {
+    "AU": st.one_of(st.floats(0, 5).map(repr), st.integers(0, 5).map(str)),
+    "f": st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                   st.integers(-10, 10).map(str)),
+    "label": st.integers(-2, 3).map(str),
+    "bit": st.sampled_from(["0", "1"]),
+    "gender": st.sampled_from(["F", "M", " F", "M\x00"]),
+    "split": st.sampled_from(["train", "test", "", " test"]),
+    "text": SAFE,
+}
+FLAWS = ["odd cell", "pad", "extra", "short", "blank", "bare CR"]
+
+
+def _kind(name):
+    return {"AU6": "AU", "AU12": "AU", "f0": "f", "f1": "f", "label": "label",
+            "AU6_presence": "bit", "gender": "gender", "split": "split"}.get(name, "text")
+
+
+@st.composite
+def plain_files(draw):
+    """(text, label_col): a CSV with no '"', its first line the header."""
+    label_col = draw(st.sampled_from(["label"] * 6 + ["AU12", "f0", "id", "gender",
+                                                      "AU6_presence"]))
+    names = ["id", "AU6", "AU12", "gender", "split", "f0", "f1"]
+    names += draw(st.lists(st.sampled_from(["label", "AU6_presence", "x", "AU6", "gender"]),
+                           max_size=2))
+    names += [c for c in (label_col, "label") if c not in names][:1]
+    names = draw(st.permutations(names))
+    rows = [[draw(CELLS[_kind(name)]) for name in names]
+            for _ in range(draw(st.integers(0, 5)))]
+    blanks = []
+    for flaw in draw(st.lists(st.sampled_from(FLAWS), max_size=3)) if rows else []:
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows[i])))  # cell j, or a new last one
+        cell = "".join(rows[i][j:j + 1])
+        if flaw == "odd cell":
+            rows[i][j:j + 1] = [draw(st.sampled_from(ODD))]
+        elif flaw == "pad":
+            rows[i][j:j + 1] = [draw(st.sampled_from(PADS)) + cell + draw(st.sampled_from(PADS))]
+        elif flaw == "extra":
+            rows[i] += draw(st.lists(SAFE, min_size=1, max_size=2))
+        elif flaw == "short":
+            rows[i] = rows[i][:j]
+        elif flaw == "bare CR":
+            rows[i][j:j + 1] = [cell + "\r"]
+        elif flaw == "blank":
+            blanks.append(i)
+    lines = [",".join(names)]
+    for i, cells in enumerate(rows):
+        lines += [""] * blanks.count(i) + [",".join(cells)]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""])), label_col
+
+
+def _outcome(path, label_col):
+    """Everything load_dataset gives back, or its error."""
+    try:
+        result = load_dataset(path, CsvSchema(label_col=label_col))
+    except AucalError as exc:
+        message = str(exc).replace(str(path), "<path>")
+        return type(exc), message, getattr(exc, "row", None), getattr(exc, "column", None)
+    ds = result.dataset
+    return (result.dropped_rows, result.ignored_columns, ds.au_ids, dict(ds.attribute_levels),
+            ds.binarized, ds.ids.tolist(), ds.label.dtype, ds.label.tolist(),
+            ds.intensity.tolist(), np.signbit(ds.intensity).tolist(), ds.presence.tolist(),
+            ds.features.tolist(), np.signbit(ds.features).tolist(), ds.is_test.tolist(),
+            {g: c.tolist() for g, c in ds.codes.items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(plain_files(), st.sampled_from([131_072, 131_072, 131_072, 60, 16]))
+@example(("id,AU6,label,gender\na,1,0,F\n\nb,2,1,M\n", "label"), 131_072)
+@example(("id,AU6,label,gender\na,1,0,F\rb,2,1,M\n", "label"), 131_072)
+@example(("id,AU6\r,label,gender\na,1,0,F\n", "label"), 131_072)
+@example(("id,AU6,label,gender\r\na,1,0,F\r\nb,2\r\n", "label"), 131_072)
+@example(("id,AU6,label,gender\na,1,0,F,x,y\nb,2,1,M", "label"), 131_072)
+@example(("id,AU6,label,gender\na,1.25,0,FFFFFFFFFFFF\n", "label"), 16)
+@example(("id,AU6,AU6,label,gender,gender\na,x,1,0,F,M\n", "label"), 131_072)
+@example(("id,AU6,label,gender,f0\na,\xa01_0,7,F,1\nb,1,99999999999999999999,M,１\n",
+          "label"), 131_072)
+@example(("id,AU6,gender,label\na,,F,1\nb,2,M,0\n", "AU6"), 131_072)
+def test_numpy_reader_gives_what_csv_reader_gives(case, limit):
+    """A plain file and its twin, whose first header name is quoted: csv
+    reads the name back unchanged, and the quote leaves the twin to
+    csv.reader. Both load the same, or fail with the same error."""
+    text, label_col = case
+    old_limit = csv.field_size_limit(limit)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            plain, twin = Path(tmp) / "plain.csv", Path(tmp) / "twin.csv"
+            plain.write_bytes(text.encode("utf-8"))
+            name, rest = text.split(",", 1)
+            twin.write_bytes(f'"{name}",{rest}'.encode("utf-8"))
+            assert _outcome(plain, label_col) == _outcome(twin, label_col)
+    finally:
+        csv.field_size_limit(old_limit)
+
+
+def test_plain_files_are_read_without_csv_reader(tmp_path, monkeypatch, capsys):
+    def no_reader(*args, **kwargs):
+        raise AssertionError("csv.reader called on a plain file")
+
+    data, calib = tmp_path / "d.csv", tmp_path / "calib.csv"
+    data.write_text(BASE.replace("\n", "\r\n"), encoding="utf-8")
+    calib.write_text("id,AU6,AU6_true,gender\na,1.0,0,F\nb,3.0,1,M\nc,2.0,1,F\n",
+                     encoding="utf-8")
+    want = _outcome(data, "label")
+    monkeypatch.setattr(csv, "reader", no_reader)
+    assert _outcome(data, "label") == want
+    assert load_dataset(data).dataset.label.tolist() == [0, 1, 1]
+    out = tmp_path / "calib.json"
+    assert run(["calibrate", "--data", str(calib), "--truth-cols", "AU6",
+                "--out", str(out)]) == 0
+    assert '"AU6"' in out.read_text(encoding="utf-8")

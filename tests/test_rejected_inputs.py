@@ -11,6 +11,8 @@ import pytest
 from aucal.audit import conditional_bias_report
 from aucal.cli import run
 from aucal.data import binarize, save_dataset
+from aucal.errors import AucalError, InsufficientData, InvalidConfig
+from aucal.relabel import relabel_to_parity
 from conftest import Row, dataset_of
 
 AUS = ["AU6", "AU12"]
@@ -30,7 +32,7 @@ def _other_level_dataset():
 
 def test_merge_rejects_a_level_named_other():
     dataset = _other_level_dataset()
-    with pytest.raises(ValueError, match="'age_group'.*'other'"):
+    with pytest.raises(InvalidConfig, match="'age_group'.*'other'"):
         conditional_bias_report(dataset, AUS, "age_group", small_level_policy="merge")
     # without merging there is no bucket, so the level is an ordinary one
     report = conditional_bias_report(dataset, AUS, "age_group")
@@ -46,6 +48,23 @@ def test_audit_merge_with_a_level_named_other_exits_1(tmp_path, capsys):
                 "--out", str(out)]) == 1
     assert "'age_group'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _one_level_dataset():
+    records = [Row(id=f"r{i}", au_intensities={"AU6": 3.0, "AU12": 1.0}, label=i % 2,
+                   group={"gender": "F"}) for i in range(6)]
+    return binarize(dataset_of(records, AUS), {au: 2.5 for au in AUS})
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: conditional_bias_report(_other_level_dataset(), AUS, "age_group",
+                                     mode="pairwise"), InvalidConfig),
+    (lambda: relabel_to_parity(_one_level_dataset(), AUS, "gender"), InsufficientData),
+])
+def test_audit_and_relabel_argument_errors_are_typed(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert isinstance(info.value, AucalError) and not isinstance(info.value, ValueError)
 
 
 CALIBRATION = "id,AU6,AU6_true,gender\na,1.0,0,F\nb,3.0,1,M\nc,2.0,1,F\n"
