@@ -176,7 +176,7 @@ def group_design(
     """Design matrix: intercept + raw AU intensities + one indicator per
     non-reference group level (reference = first declared level)."""
     aus = sorted(au_ids, key=au_sort_key)
-    levels = dataset.attribute_levels[group_attr]
+    levels = dataset.group_levels(group_attr)
     cols = [np.ones(len(dataset))]
     names = ["intercept"]
     for au in aus:
@@ -258,7 +258,7 @@ def conditional_bias_report(
     Label 1 is the positive class, against every other label. Delta
     convention: second declared group level minus first.
     """
-    levels = dataset.attribute_levels[group_attr]
+    levels = dataset.group_levels(group_attr)
     if small_level_policy == "merge" and "other" in levels:
         raise InvalidConfig(f"group attribute {group_attr!r} has a level named "
                          f"'other', the name of the merge bucket")
@@ -327,7 +327,7 @@ def bias_curves(
     intensity = {au: dataset.intensities(au) for au in aus}
 
     curves = []
-    for code, lvl in enumerate(dataset.attribute_levels[group_attr]):
+    for code, lvl in enumerate(dataset.group_levels(group_attr)):
         mask = codes == code
         X = np.stack(
             [np.ones(int(mask.sum()))] + [intensity[au][mask] for au in aus],

@@ -45,9 +45,10 @@ def _parse_thresholds(spec: str) -> dict[str, float]:
     out = {}
     for part in spec.split(","):
         au, _, value = part.partition("=")
-        if not value:
-            raise _UsageError(f"bad threshold spec {part!r}, want AU6=2.5")
-        out[au.strip()] = float(value)
+        try:
+            out[au.strip()] = float(value)
+        except ValueError:
+            raise _UsageError(f"bad threshold spec {part!r}, want AU6=2.5") from None
     return out
 
 
@@ -99,8 +100,16 @@ def _save_model(result: TrainResult, config: TrainConfig, path) -> None:
     Path(path).write_text(canonical_json(payload) + "\n", encoding="utf-8")
 
 
+def _read_json(path, error: type[Exception]):
+    """The JSON value in the file at path; error, naming the file, if none."""
+    try:  # ValueError: a JSONDecodeError, or a UnicodeDecodeError
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise error(f"{path}: not a JSON file ({exc})") from None
+
+
 def _load_model(path) -> ModelParams:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    raw = _read_json(path, InvalidModel)
     try:  # TypeError also when the file holds no JSON object
         weights = [np.array(raw[k], dtype=float) for k in ("W1", "b1", "W2", "b2")]
     except (KeyError, TypeError, ValueError) as exc:
@@ -145,8 +154,7 @@ def _config_from(cls, raw: dict, where: str, **fixed):
 
 
 def _cmd_synth(args) -> int:
-    raw = _json_object(json.loads(Path(args.config).read_text(encoding="utf-8")),
-                       "synth config")
+    raw = _json_object(_read_json(args.config, _UsageError), "synth config")
     if args.seed is not None:
         raw["seed"] = args.seed
     raw["au_models"] = {au: _config_from(AuModel, m, f"au_models {au}") for au, m
@@ -188,7 +196,7 @@ def _cmd_audit(args) -> int:
     report = conditional_bias_report(
         dataset, aus, args.group, mode="marginal" if args.marginal else "joint",
         min_expected=args.min_expected,
-        include_logistic=len(dataset.attribute_levels[args.group]) < 3,
+        include_logistic=len(dataset.group_levels(args.group)) < 3,
         small_level_policy=args.small_levels,
     )
     emit_json(report, args.out,
@@ -262,7 +270,7 @@ _SPEC_DEFAULTS = {"label": "label", "group": "gender", "thresholds": {}}
 
 
 def _cmd_compare(args) -> int:
-    spec = json.loads(Path(args.configs).read_text(encoding="utf-8"))
+    spec = _read_json(args.configs, _UsageError)
     _reject_unknown(_json_object(spec, "compare spec"), _SPEC_KEYS, "compare spec")
     spec = {**_SPEC_DEFAULTS, **spec}
     for key in ("data", "condition", "positive_group", "label", "group"):
@@ -306,9 +314,9 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def demo_synth_config(seed: int, n: int = 8000) -> SynthConfig:
+def demo_synth_config(seed: int) -> SynthConfig:
     return SynthConfig(
-        n=n,
+        n=8000,
         group_probs={"F": 0.5, "M": 0.5},
         latent_positive_prob=0.5,
         au_models={
@@ -475,9 +483,6 @@ def run(argv) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
     except AucalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

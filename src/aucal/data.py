@@ -24,10 +24,10 @@ from .errors import (
     Misaligned,
     MissingColumn,
     NotBinarized,
+    NotUtf8,
     ParseError,
     RepeatedAu,
     UnknownAu,
-    UnknownGroupLevel,
 )
 
 AU_COLUMN_RE = re.compile(r"^AU\d+$")
@@ -163,14 +163,18 @@ class Dataset:
     def feature_matrix(self) -> np.ndarray:
         return self.features
 
-    def group_codes(self, attr: str) -> np.ndarray:
+    def group_levels(self, attr: str) -> tuple[str, ...]:
+        """attr's sorted levels; MissingColumn when no group column is attr."""
         if attr not in self.attribute_levels:
-            raise UnknownGroupLevel(attr)
+            raise MissingColumn(attr)
+        return self.attribute_levels[attr]
+
+    def group_codes(self, attr: str) -> np.ndarray:
+        self.group_levels(attr)
         return self.codes[attr]
 
     def group_values(self, attr: str) -> np.ndarray:
-        codes = self.group_codes(attr)
-        return np.asarray(self.attribute_levels[attr])[codes]
+        return np.asarray(self.group_levels(attr))[self.codes[attr]]
 
     def intensities(self, au_id: str) -> np.ndarray:
         if au_id not in self.au_ids:
@@ -237,12 +241,15 @@ class CsvColumns:
     """A CSV file read column by column, its cells stripped of surrounding
     whitespace. A row with fewer fields than the header, a field longer than
     csv.field_size_limit() and a cell that does not parse raise ParseError
-    naming the row (the header is row 1) and, but for the long field, the column.
-    In a plain file, numpy converts the columns floats(header) names to float."""
+    naming the row (the header is row 1) and, but for the long field, the column;
+    a file that is not UTF-8 text raises NotUtf8. In a plain file, numpy
+    converts the columns floats(header) names to float."""
 
-    def __init__(self, path: str | Path,
-                 floats: Callable[[list[str]], Container[str]] = lambda header: ()):
-        self.header, self._columns, n = _read_plain(path, floats) or _read_csv(path)
+    def __init__(self, path: str | Path, floats: Callable[[list[str]], Container[str]]):
+        try:
+            self.header, self._columns, n = _read_plain(path, floats) or _read_csv(path)
+        except UnicodeDecodeError as exc:
+            raise NotUtf8(f"{path}: not UTF-8 text ({exc})") from None
         self.index = {name: i for i, name in enumerate(self.header)}
         self.rownums = np.arange(2, n + 2)
 
@@ -489,45 +496,15 @@ def _csv_text(cell: str) -> str:
     return '"' + cell.replace('"', '""') + '"' if _NEEDS_QUOTES.search(cell) else cell
 
 
-def binarize(
-    dataset: Dataset,
-    thresholds: Mapping[str, float],
-    per_group: Mapping[tuple[str, str], float] | None = None,
-    group_attr: str | None = None,
-) -> Dataset:
+def binarize(dataset: Dataset, thresholds: Mapping[str, float]) -> Dataset:
     """Apply binarization thresholds: presence = 1 iff intensity strictly
-    exceeds the threshold. Per-group thresholds take precedence; intensities
-    are retained untouched."""
+    exceeds the AU's threshold; intensities are retained untouched."""
     for au in thresholds:
         if au not in dataset.au_ids:
             raise UnknownAu(au)
-    per_group = dict(per_group or {})
-    aus_with_overrides = {au for au, _ in per_group}
-    if per_group:
-        if group_attr is None:
-            group_attr = next(iter(dataset.attribute_levels))
-        levels = dataset.attribute_levels[group_attr]
-        for au, level in per_group:
-            if au not in dataset.au_ids:
-                raise UnknownAu(au)
-            if level not in levels:
-                raise UnknownGroupLevel(level)
-        for au in aus_with_overrides:
-            covered = {lvl for a, lvl in per_group if a == au}
-            if covered != set(levels):
-                raise UnknownGroupLevel(
-                    f"per-group thresholds for {au} do not cover {sorted(set(levels) - covered)}"
-                )
-
     presence = dataset.presence.copy()
     for au, t in thresholds.items():
         j = dataset.au_ids.index(au)
-        eff = t
-        if au in aus_with_overrides:
-            # per-group thresholds, looked up by level code
-            by_level = np.array([per_group[(au, lvl)] for lvl in levels])
-            eff = by_level[dataset.codes[group_attr]]
-        presence[:, j] = dataset.intensity[:, j] > eff
+        presence[:, j] = dataset.intensity[:, j] > t
     return replace(dataset, presence=presence,
                    binarized=dataset.binarized | set(thresholds))
-

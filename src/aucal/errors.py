@@ -37,16 +37,14 @@ class InconsistentFeatureDim(AucalError):
     pass
 
 
+class NotUtf8(AucalError):
+    pass
+
+
 class UnknownAu(AucalError):
     def __init__(self, au_id: str):
         super().__init__(f"unknown AU id: {au_id!r}")
         self.au_id = au_id
-
-
-class UnknownGroupLevel(AucalError):
-    def __init__(self, level: str):
-        super().__init__(f"unknown group level: {level!r}")
-        self.level = level
 
 
 class NotBinarized(AucalError):
@@ -80,6 +78,10 @@ class Separation(AucalError):
 
 
 class SingularDesign(AucalError):
+    pass
+
+
+class OutOfDomain(AucalError):
     pass
 
 

@@ -8,7 +8,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, au_sort_key, strata
+from .data import Dataset
 from .errors import (
     EmptyInput,
     InfeasibleBalance,
@@ -18,8 +18,8 @@ from .errors import (
 )
 from .rng import Rng
 
-EASY_LOW_DEFAULT = 1e-5
-EASY_HIGH_DEFAULT = 0.99999
+EASY_LOW = 1e-5
+EASY_HIGH = 0.99999
 
 
 @dataclass(frozen=True)
@@ -102,80 +102,43 @@ def build_fair_test_set(
     dataset: Dataset,
     scores: Sequence[float],
     group_attr: str,
-    easy_low: float = EASY_LOW_DEFAULT,
-    easy_high: float | None = EASY_HIGH_DEFAULT,
-    conditioning: Sequence[str] = (),
-    mode: str = "balance_positive_rate",
     seed: int = 0,
 ) -> Dataset:
-    """Prune easy cases by reference-model score, then balance the groups.
-
-    easy_high=None disables the upper prune (the low-only variant used for
-    the angry task). mode 'balance_positive_rate' equalizes P(Y=1 | group)
-    by down-sampling the over-represented (group, label) stratum, with label
-    1 the positive class against every other label; 'balance_cell_counts'
-    equalizes per-(AU cell x group) counts.
-    """
+    """Prune easy cases by reference-model score, keeping EASY_LOW <= s <=
+    EASY_HIGH, then equalize P(Y=1 | group) by down-sampling the positives
+    of each group above the lowest rate, with label 1 the positive class
+    against every other label."""
     s = np.asarray(scores, dtype=float)
     if s.size != len(dataset):
         raise Misaligned(f"{s.size} scores for {len(dataset)} records")
-    if easy_high is not None and not (easy_low < easy_high):
-        raise ValueError("easy_low must be < easy_high")
-
-    keep = s >= easy_low
-    if easy_high is not None:
-        keep &= s <= easy_high
-    kept_idx = np.where(keep)[0]
-    pruned = dataset.subset(kept_idx.tolist())
+    pruned = dataset.subset(np.flatnonzero((s >= EASY_LOW) & (s <= EASY_HIGH)))
 
     y = (pruned.labels() == 1).astype(int)
     codes = pruned.group_codes(group_attr)
-    levels = pruned.attribute_levels[group_attr]
+    levels = pruned.group_levels(group_attr)
     present = np.unique(codes)  # the levels left after pruning
     rng = Rng(seed, ("fair_test",))
 
-    if mode == "balance_positive_rate":
-        rates = {}
-        for code in present:
-            mask = codes == code
-            if y[mask].sum() == 0:
-                raise InfeasibleBalance(f"group {levels[code]!r} has no positives")
-            rates[code] = float(y[mask].mean())
-        target_rate = min(rates.values())
-        keep = np.ones(len(pruned), dtype=bool)
-        for code in present:
-            if rates[code] <= target_rate:
-                continue
-            mask = codes == code
-            pos_idx = np.flatnonzero(mask & (y == 1))
-            # remove k positives so (pos - k)/(n - k) == target_rate
-            k = (pos_idx.size - target_rate * int(mask.sum())) / (1.0 - target_rate)
-            k = int(round(k))
-            k = min(max(k, 0), pos_idx.size)
-            gen = rng.child(f"rate-{levels[code]}").generator()
-            keep[gen.choice(pos_idx, size=k, replace=False)] = False
-        return pruned.subset(np.flatnonzero(keep))
-
-    if mode == "balance_cell_counts":
-        if not conditioning:
-            raise ValueError("balance_cell_counts requires conditioning AUs")
-        keys = pruned.cell_keys(sorted(conditioning, key=au_sort_key))
-        kept = [np.zeros(0, dtype=np.int64)]
-        for cell, rows in strata(keys.codes):
-            groups = strata(codes[rows])
-            if len(groups) < present.size:
-                continue
-            condition = keys.key(cell).describe()
-            floor = min(sub.size for _, sub in groups)
-            for code, sub in groups:
-                idx = rows[sub]
-                if idx.size > floor:
-                    gen = rng.child(f"cell-{condition}-{levels[code]}").generator()
-                    idx = gen.choice(idx, size=floor, replace=False)
-                kept.append(idx)
-        return pruned.subset(np.sort(np.concatenate(kept)))
-
-    raise ValueError(f"unknown mode {mode!r}")
+    rates = {}
+    for code in present:
+        mask = codes == code
+        if y[mask].sum() == 0:
+            raise InfeasibleBalance(f"group {levels[code]!r} has no positives")
+        rates[code] = float(y[mask].mean())
+    target_rate = min(rates.values())
+    keep = np.ones(len(pruned), dtype=bool)
+    for code in present:
+        if rates[code] <= target_rate:
+            continue
+        mask = codes == code
+        pos_idx = np.flatnonzero(mask & (y == 1))
+        # remove k positives so (pos - k)/(n - k) == target_rate
+        k = (pos_idx.size - target_rate * int(mask.sum())) / (1.0 - target_rate)
+        k = int(round(k))
+        k = min(max(k, 0), pos_idx.size)
+        gen = rng.child(f"rate-{levels[code]}").generator()
+        keep[gen.choice(pos_idx, size=k, replace=False)] = False
+    return pruned.subset(np.flatnonzero(keep))
 
 
 def evaluate(
@@ -192,7 +155,7 @@ def evaluate(
         raise Misaligned(f"{s.size} scores for {len(test_dataset)} records")
     y = (test_dataset.labels() == 1).astype(int)
     codes = test_dataset.group_codes(group_attr)
-    levels = test_dataset.attribute_levels[group_attr]
+    levels = test_dataset.group_levels(group_attr)
     threshold, accuracy = select_threshold(s, y)
     pred = (s > threshold).astype(int)
     rates = {levels[code]: float(pred[codes == code].mean()) for code in np.unique(codes)}

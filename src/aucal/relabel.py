@@ -50,7 +50,7 @@ def relabel_to_parity(
     positive class; a flipped row takes label 0 or 1, the others keep theirs.
     """
     keys = dataset.cell_keys(sorted(conditioning, key=au_sort_key))
-    levels = dataset.attribute_levels[group_attr]
+    levels = dataset.group_levels(group_attr)
     if len(levels) < 2:
         raise InsufficientData("need at least two group levels")
     codes = dataset.group_codes(group_attr)
@@ -109,7 +109,7 @@ def balanced_subsample(
     conditioning: Sequence[str],
     group_attr: str,
     per_cell_count: int,
-    seed: int = 0,
+    seed: int,
 ) -> SubsampleResult:
     """Uniform sample without replacement of per_cell_count records per
     (AU cell x group); strata that fall short keep everything and are
@@ -118,7 +118,7 @@ def balanced_subsample(
         raise InvalidCount(f"per_cell_count must be >= 1, got {per_cell_count}")
     keys = dataset.cell_keys(sorted(conditioning, key=au_sort_key))
     codes = dataset.group_codes(group_attr)
-    levels = dataset.attribute_levels[group_attr]
+    levels = dataset.group_levels(group_attr)
 
     rng = Rng(seed, ("balanced_subsample",))
     kept = [np.zeros(0, dtype=np.int64)]

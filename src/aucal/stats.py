@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InsufficientData, InvalidCounts
+from .errors import InsufficientData, InvalidCounts, OutOfDomain
 
 _EPS = 1e-15
 _MAX_ITER = 10000
@@ -26,7 +26,7 @@ def lower_gamma_series(a: float, x: float) -> float:
     Converges for all x >= 0; fastest for x < a + 1.
     """
     if x < 0 or a <= 0:
-        raise ValueError("require x >= 0 and a > 0")
+        raise OutOfDomain("require x >= 0 and a > 0")
     if x == 0.0:
         return 0.0
     ap = a
@@ -45,7 +45,7 @@ def upper_gamma_cf(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) by the Legendre
     continued fraction (modified Lentz). Accurate for x >= a + 1."""
     if x < 0 or a <= 0:
-        raise ValueError("require x >= 0 and a > 0")
+        raise OutOfDomain("require x >= 0 and a > 0")
     if x == 0.0:
         return 1.0
     tiny = 1e-300
@@ -74,7 +74,7 @@ def lower_gamma_cf(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x) by its own continued
     fraction (modified Lentz). Converges best for x < a + 1."""
     if x < 0 or a <= 0:
-        raise ValueError("require x >= 0 and a > 0")
+        raise OutOfDomain("require x >= 0 and a > 0")
     if x == 0.0:
         return 0.0
     tiny = 1e-300
@@ -117,7 +117,7 @@ def chi2_sf(x: float, dof: int) -> float:
     if x < 0:
         return 1.0
     if dof < 1:
-        raise ValueError("dof must be >= 1")
+        raise OutOfDomain("dof must be >= 1")
     return reg_upper_gamma(dof / 2.0, x / 2.0)
 
 

@@ -14,7 +14,6 @@ from aucal.errors import (
     NotBinarized,
     ParseError,
     UnknownAu,
-    UnknownGroupLevel,
 )
 from conftest import dataset_of, record, rows_of, small_dataset
 
@@ -96,21 +95,6 @@ def test_binarize_strict_comparison():
     assert rows_of(out)[0].label == 1
 
 
-def test_binarize_per_group_precedence():
-    ds = dataset_of(
-        [record(0, 1.5, 0.0, 0, "F"), record(1, 1.5, 0.0, 0, "M")],
-        ["AU6", "AU12"],
-    )
-    out = binarize(
-        ds,
-        {"AU6": 0.5, "AU12": 2.5},
-        per_group={("AU6", "M"): 1.0, ("AU6", "F"): 2.0},
-        group_attr="gender",
-    )
-    assert rows_of(out)[0].au_presence["AU6"] == 0  # F: 1.5 > 2.0 is false
-    assert rows_of(out)[1].au_presence["AU6"] == 1  # M: 1.5 > 1.0
-
-
 def test_binarize_idempotent():
     ds = small_dataset()
     once = binarize(ds, {"AU6": 1.5, "AU12": 1.5})
@@ -122,13 +106,6 @@ def test_binarize_idempotent():
 def test_binarize_unknown_au():
     with pytest.raises(UnknownAu):
         binarize(small_dataset(), {"AU99": 1.0})
-
-
-def test_binarize_per_group_coverage():
-    ds = small_dataset()
-    with pytest.raises(UnknownGroupLevel):
-        binarize(ds, {"AU6": 1.0}, per_group={("AU6", "F"): 1.0},
-                 group_attr="gender")
 
 
 def test_cell_keys_require_binarization():

@@ -7,6 +7,7 @@ configs of the wrong JSON shape or with fields of the wrong type, which
 used to end in a traceback, a compare run with no test split or no seeds,
 and a condition that names an AU twice."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -50,8 +51,8 @@ def test_diverging_training_raises_naming_the_epoch(trainer):
 def _blow_up_data():
     """400 demo rows on which lr 500 sends the cross-entropy of epoch 1
     past 1e5 in both trainers while it stays finite."""
-    return binarize(generate(demo_synth_config(7, 400)).dataset,
-                    {"AU6": 2.5, "AU12": 2.5})
+    config = dataclasses.replace(demo_synth_config(7), n=400)
+    return binarize(generate(config).dataset, {"AU6": 2.5, "AU12": 2.5})
 
 
 @pytest.mark.parametrize("trainer", [train, train_cross_entropy_only])

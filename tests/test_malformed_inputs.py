@@ -1,6 +1,8 @@
 """Malformed input ends in a typed error with exit code 1, not a traceback:
 a model file whose weights are not a finite, chained MLP, a calibration CSV
-with a short row, and a mapping whose keys collide once stringified."""
+with a short row, a mapping whose keys collide once stringified, a file
+that holds no JSON or no UTF-8 text, a threshold that is not a number, and
+a --group column the file lacks."""
 
 import json
 
@@ -84,3 +86,49 @@ def test_canonical_json_rejects_keys_that_collide_as_strings():
     with pytest.raises(IoError, match="collide"):
         canonical_json({1: "a", "1": "b"})
     assert canonical_json({2: "b", "1": {3: None}}) == '{"1":{"3":null},"2":"b"}'
+
+
+CAL_CSV = "id,AU6,AU6_true,gender\na,1.0,0,F\nb,3.0,1,M\n"
+EVAL = ["eval", "--model", "BAD", "--test", "DATA", "--positive-group", "F"]
+
+
+@pytest.mark.parametrize("argv, content, named", [
+    (["synth", "--config", "BAD"], lambda data, model: b"{", "BAD"),
+    (["compare", "--configs", "BAD"], lambda data, model: b'{"data": ', "BAD"),
+    (EVAL, lambda data, model: b"", "BAD"),
+    (EVAL, lambda data, model: json.dumps(model).encode()[:500], "BAD"),
+    (["audit", "--data", "DATA", "--condition", "AU6,AU12", "--thresholds", "AU6=abc"],
+     lambda data, model: b"", "'AU6=abc'"),
+    (["audit", "--data", "BAD", "--condition", "AU6,AU12"],
+     lambda data, model: data.read_bytes().replace(b"\n", b"\xff\n", 2), "BAD"),
+    (["calibrate", "--data", "BAD", "--truth-cols", "AU6"],
+     lambda data, model: CAL_CSV.encode().replace(b"b,", b"\xff,"), "BAD"),
+], ids=["synth-json", "compare-json", "empty-model", "truncated-model",
+        "bad-threshold", "audit-not-utf8", "calibrate-not-utf8"])
+def test_unreadable_input_exits_1_naming_it(trained, tmp_path, capsys, argv, content,
+                                            named):
+    data, model = trained
+    bad, out = tmp_path / "bad", tmp_path / "out"
+    bad.write_bytes(content(data, model))
+    paths = {"BAD": str(bad), "DATA": str(data)}
+    assert run([paths.get(a, a) for a in argv] + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and paths.get(named, named) in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["audit", "relabel", "eval", "calibrate"])
+def test_missing_group_column_exits_1(trained, tmp_path, capsys, command):
+    data, model = trained
+    model_path, cal = tmp_path / "model.json", tmp_path / "cal.csv"
+    model_path.write_text(json.dumps(model), encoding="utf-8")
+    cal.write_text(CAL_CSV, encoding="utf-8")
+    out = str(tmp_path / "out")
+    shared = ["--data", str(data), "--condition", "AU6,AU12", "--out", out]
+    argv = {"audit": ["audit", *shared], "relabel": ["relabel", *shared],
+            "eval": ["eval", "--model", str(model_path), "--test", str(data),
+                     "--positive-group", "F", "--out", out],
+            "calibrate": ["calibrate", "--data", str(cal), "--truth-cols", "AU6",
+                          "--out", out]}[command]
+    assert run([*argv, "--group", "race"]) == 1
+    assert capsys.readouterr().err == "error: required column missing: 'race'\n"

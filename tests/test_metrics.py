@@ -139,32 +139,6 @@ def test_fair_test_set_prunes_easy_scores():
     assert all(f"r{i}" not in kept_ids for i in range(20))
 
 
-def test_fair_test_set_low_only_prune():
-    ds, scores = _scored_dataset(rate_f=0.5, rate_m=0.5)
-    scores = scores.copy()
-    scores[0] = 0.01   # below the anger-style low cut
-    scores[1] = 0.999  # high scores survive when easy_high is disabled
-    fair = build_fair_test_set(ds, scores, "gender",
-                               easy_low=0.05, easy_high=None)
-    kept_ids = {r.id for r in rows_of(fair)}
-    assert "r0" not in kept_ids
-    assert "r1" in kept_ids
-
-
-def test_fair_test_set_cell_count_balance():
-    ds, scores = _scored_dataset(n_f=500, n_m=300)
-    fair = build_fair_test_set(ds, scores, "gender",
-                               conditioning=["AU6", "AU12"],
-                               mode="balance_cell_counts")
-    keys = [k.describe() for k in fair.cell_keys(["AU6", "AU12"])]
-    grp = fair.group_values("gender")
-    from collections import Counter
-
-    counts = Counter(zip(keys, grp))
-    for cond in {k for k, _ in counts}:
-        assert counts[(cond, "F")] == counts[(cond, "M")]
-
-
 def test_fair_test_set_equal_rates_noop():
     ds, scores = _scored_dataset(rate_f=0.5, rate_m=0.5)
     fair = build_fair_test_set(ds, scores, "gender")

@@ -130,7 +130,7 @@ def test_balanced_subsample_shortfall():
 def test_balanced_subsample_invalid_count():
     ds = _one_cell_dataset(1, 2, 1, 2)
     with pytest.raises(InvalidCount):
-        balanced_subsample(ds, ["AU6", "AU12"], "gender", 0)
+        balanced_subsample(ds, ["AU6", "AU12"], "gender", 0, seed=0)
 
 
 def test_balanced_subsample_deterministic(biased_dataset):

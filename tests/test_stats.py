@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from aucal.errors import InsufficientData, InvalidCounts
+from aucal.errors import InsufficientData, InvalidCounts, OutOfDomain
 from aucal.stats import (
     chi2_sf,
     chi_square_independence,
@@ -53,6 +53,18 @@ def test_gamma_against_mpmath():
             ref = float(mp.gammainc(a, x, mp.inf, regularized=True))
             got = reg_upper_gamma(a, x)
             assert got == pytest.approx(ref, rel=1e-10, abs=1e-300)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: lower_gamma_series(0.0, 1.0),
+    lambda: upper_gamma_cf(1.0, -1.0),
+    lambda: lower_gamma_cf(-2.0, 1.0),
+    lambda: chi2_sf(1.0, 0),
+])
+def test_gamma_and_chi2_domain_errors_are_typed(call):
+    with pytest.raises(OutOfDomain) as info:
+        call()
+    assert not isinstance(info.value, ValueError)
 
 
 def test_chi2_sf_known_value():
