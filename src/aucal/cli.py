@@ -45,8 +45,11 @@ def _parse_thresholds(spec: str) -> dict[str, float]:
     out = {}
     for part in spec.split(","):
         au, _, value = part.partition("=")
+        au = au.strip()
+        if au in out:  # one value would be silently dropped
+            raise _UsageError(f"--thresholds names {au} twice")
         try:
-            out[au.strip()] = float(value)
+            out[au] = float(value)
         except ValueError:
             raise _UsageError(f"bad threshold spec {part!r}, want AU6=2.5") from None
     return out

@@ -460,7 +460,15 @@ def save_dataset(
     extra_columns: Mapping[str, Sequence] | None = None,
 ) -> None:
     """Write a Dataset back to the CSV schema load_dataset reads
-    (round-trip safe, including presence columns when binarized)."""
+    (round-trip safe, including presence columns when binarized).
+
+    The bytes are those csv.writer writes for repr of each number and the
+    text cells. Intensities and features are written from integer digits
+    where that is proven equal to repr: a float64 cell that is a decimal of
+    at most 15 significant digits and at most 9 fraction digits, 0 or at
+    least 1e-4 in size (x is the nearest double to m / 10**k, and m below
+    10**15); a row with any other cell, such as 6e-05 or a full-precision
+    float, is written with repr, as is every integer cell."""
     group_cols = list(dataset.attribute_levels)
     binarized = [j for j, au in enumerate(dataset.au_ids) if au in dataset.binarized]
     header = ["id"] + list(dataset.au_ids)
@@ -473,22 +481,87 @@ def save_dataset(
         if len(values) < len(dataset):
             raise LengthMismatch(f"extra column {col!r} has {len(values)} values")
 
-    def reprs(columns: np.ndarray) -> list[list[str]]:
-        # repr of a Python float or int, as the CSV has always held (never quoted)
-        return [list(map(repr, col)) for col in columns.T.tolist()]
+    # each level quoted once, as group_values gives it, then indexed by code
+    levels = {g: np.array([_csv_text(v) for v in np.asarray(dataset.group_levels(g)).tolist()],
+                          dtype=object) for g in group_cols}
 
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(map(_csv_text, header)) + "\r\n")
         for lo in range(0, len(dataset), _SAVE_CHUNK):
             rows = slice(lo, lo + _SAVE_CHUNK)
             part = dataset._rows(rows)
-            columns = [list(map(_csv_text, part.ids.tolist())), *reprs(part.intensity),
-                       *reprs(part.presence[:, binarized]), *reprs(part.label[:, None])]
-            columns += [list(map(_csv_text, part.group_values(g).tolist())) for g in group_cols]
+            ids = part.ids.tolist()
+            if _NEEDS_QUOTES.search("".join(ids)):
+                ids = list(map(_csv_text, ids))
+            columns = [ids, *_decimal_rows(part.intensity),
+                       *_reprs(part.presence[:, binarized]), *_reprs(part.label[:, None])]
+            columns += [levels[g][part.codes[g]].tolist() for g in group_cols]
             columns.append(np.where(part.is_test, "test", "train").tolist())
-            columns += reprs(part.features)
+            columns += _decimal_rows(part.features)
             columns += [[_csv_text(str(v)) for v in values[rows]] for values in extra.values()]
             fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))
+
+
+def _reprs(block: np.ndarray) -> list[list[str]]:
+    """block's columns as the CSV has always held them: repr of each cell as
+    a Python float or int (never quoted)."""
+    return [list(map(repr, col)) for col in block.T.tolist()]
+
+
+def _decimal_rows(block: np.ndarray) -> list[list[str]]:
+    """A float64 block's cells as save_dataset's columns: one column of row
+    texts, each ",".join(map(repr, row)), built from integer digits in one
+    vectorized pass for the rows whose every cell is proven to print as a
+    short decimal; repr per cell for the other rows, and _reprs(block) when
+    no row qualifies.
+
+    A cell x qualifies when m = rint(|x| * 10**9) is below 10**15, m / 10**9
+    == |x|, and |x| >= 1e-4 or x == 0. The division is correctly rounded, so
+    x is the double nearest m * 10**-9; no other decimal of at most 15
+    significant digits (DBL_DIG) rounds to the same normal double; and from
+    1e-4 up repr writes fixed notation. So repr(x) is that decimal, '-' if
+    signbit(x), with its trailing zeros stripped down to one fraction digit.
+    The block is written with the fewest fraction digits k >= 1 at which
+    every cell of a qualifying row passes the same test, m / 10**k == |x|."""
+    if block.dtype != np.float64 or not block.size:
+        return _reprs(block)
+    size = np.abs(block)
+    size = np.where(size < 1e15, size, np.inf)  # NaN fails too, and nothing overflows
+    m = np.rint(size * 1e9)
+    rows_ok = ((m < 1e15) & (m / 1e9 == size) & ((size >= 1e-4) | (block == 0))).all(axis=1)
+    if not rows_ok.any():
+        return _reprs(block)
+    size = np.where(rows_ok[:, None], size, 0.0)
+    for k in range(1, 10):  # ends by k = 9, where every cell left is exact
+        m = np.rint(size * 10.0**k)
+        if (m / 10.0**k == size).all():
+            break
+    m = m.astype(np.int64)
+    whole = len(str(int(m.max()) // 10**k))  # digits before the point
+    # per cell: separator, sign, whole digits, point, fraction digits
+    chars = np.empty(block.shape + (whole + k + 3,), dtype=np.uint8)
+    keep = np.ones(chars.shape, dtype=bool)
+    chars[..., 0] = ord(",")
+    chars[:, 0, 0] = ord("\n")  # so the text splits into rows
+    chars[..., 1] = ord("-")
+    keep[..., 1] = np.signbit(block)
+    chars[..., 2 + whole] = ord(".")
+    seen = np.zeros(block.shape, dtype=bool)
+    for j in range(2 + whole + k, 2 + whole, -1):  # fraction digits, last first
+        m, digit = np.divmod(m, 10)
+        chars[..., j] = digit + ord("0")
+        seen |= digit != 0
+        keep[..., j] = seen  # trailing zeros go, but the first fraction digit
+    keep[..., 3 + whole] = True
+    for j in range(1 + whole, 1, -1):  # whole digits, units first
+        keep[..., j] = m > 0  # leading zeros go, but the units digit
+        m, digit = np.divmod(m, 10)
+        chars[..., j] = digit + ord("0")
+    keep[..., 1 + whole] = True
+    segments = chars[keep].tobytes().decode("ascii").split("\n")[1:]
+    for i, row in zip(np.flatnonzero(~rows_ok).tolist(), block[~rows_ok].tolist()):
+        segments[i] = ",".join(map(repr, row))
+    return [segments]
 
 
 def _csv_text(cell: str) -> str:

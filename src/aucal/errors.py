@@ -145,12 +145,13 @@ _TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
 
 
 def holds(value, kind) -> bool:
-    """Whether value is a kind: an int (not a bool) for int, a finite
-    number (not a bool) for float, an instance of kind otherwise."""
+    """Whether value is a kind: an int that fits in numpy's int64 (not a
+    bool) for int, a finite number (not a bool) for float, an instance of
+    kind otherwise."""
     if isinstance(value, bool):
         return False
     if kind is int:
-        return isinstance(value, numbers.Integral)
+        return isinstance(value, numbers.Integral) and -2**63 <= value < 2**63
     if kind is float:  # abs(nan) <= max is false, and an int too big is rejected
         return isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
     return isinstance(value, kind)
@@ -170,7 +171,8 @@ def check_types(config, where: str = "") -> None:
             items = [(f"{label}[{k!r}]", v) for k, v in value.items()]
         for item, v in items:
             if not holds(v, kind):
-                what = _TYPE_NAMES.get(kind, f"of type {kind.__name__}")
+                what = ("a 64-bit integer" if kind is int and isinstance(v, int)
+                        else _TYPE_NAMES.get(kind, f"of type {kind.__name__}"))
                 raise InvalidConfig(f"{item} must be {what}, not {v!r:.40}")
             if dataclasses.is_dataclass(kind):
                 check_types(v, f"{item}.")

@@ -68,15 +68,25 @@ class SynthConfig:
         for p in self.composition_shift.values():
             if not (0.0 <= p <= 1.0):
                 raise InvalidConfig("composition_shift probs must be in [0, 1]")
+        if not self.au_models:
+            raise InvalidConfig("au_models must name at least one AU")
         for au, m in self.au_models.items():
             if m.std_negative <= 0 or m.std_positive <= 0:
                 raise InvalidConfig(f"{au}: stddevs must be > 0")
+            for mean, std in (m.params(0), m.params(1)):
+                if not _truncnorm_norm(mean, std) > 0:  # the draw would be -inf or NaN
+                    raise InvalidConfig(f"{au}: mean {mean} and std {std} put no "
+                                        f"intensity in [{AU_MIN}, {AU_MAX}]")
         for au in self.annotator_weights:
             if au not in self.au_models:
                 raise InvalidConfig(f"annotator weight for unknown AU {au!r}")
         for z in self.group_bias:
             if z not in self.group_probs:
                 raise InvalidConfig(f"group_bias for unknown level {z!r}")
+        reach = (abs(self.annotator_intercept) + max(map(abs, self.group_bias.values()), default=0.0)
+                 + AU_MAX * sum(map(abs, self.annotator_weights.values())))
+        if not math.isfinite(reach):  # the annotator's logit could be inf - inf
+            raise InvalidConfig("annotator intercept, weights and group_bias overflow a float")
         if self.feature_dim:
             needed = len(self.au_models) + self.group_leak_dims
             if self.feature_dim < needed:
@@ -85,6 +95,8 @@ class SynthConfig:
                 )
         if not (0.0 <= self.test_fraction < 1.0):
             raise InvalidConfig("test_fraction must be in [0, 1)")
+        if self.feature_noise_std < 0:
+            raise InvalidConfig("feature_noise_std must be >= 0")
 
     def threshold_for(self, au: str) -> float:
         return float(self.thresholds.get(au, DEFAULT_THRESHOLD))
@@ -97,8 +109,9 @@ def _truncnorm_draw(gen: np.random.Generator, mean, std, size) -> np.ndarray:
     """Inverse-CDF sampling of a normal truncated to [0, 5]."""
     # scipy loads on the first draw, so that import aucal.cli does not pay for it
     from scipy.special import ndtr, ndtri
-    a = ndtr((AU_MIN - mean) / std)
-    b = ndtr((AU_MAX - mean) / std)
+    with np.errstate(over="ignore"):  # a bound beyond float range is +-inf, as ndtr wants
+        a = ndtr((AU_MIN - mean) / std)
+        b = ndtr((AU_MAX - mean) / std)
     u = gen.random(size)
     return mean + std * ndtri(a + u * (b - a))
 

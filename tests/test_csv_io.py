@@ -10,7 +10,10 @@
   its row (its record, not its physical line), and the data layer's other
   input errors are typed;
 - a plain file, which numpy's text reader reads without csv.reader, loads
-  exactly as its quoted twin does through csv.reader.
+  exactly as its quoted twin does through csv.reader;
+- save_dataset's digit writer gives repr's text for every float block, and
+  writes from digits exactly the rows whose every cell repr prints as a
+  decimal of at most 9 fraction digits below 1e6 in size.
 """
 
 import csv
@@ -18,14 +21,17 @@ import io
 import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from aucal import data
 from aucal.cli import run
-from aucal.data import AuCellKey, CellKeys, CsvSchema, load_dataset, save_dataset
+from aucal.data import (AuCellKey, CellKeys, CsvSchema, binarize, load_dataset,
+                        save_dataset)
 from aucal.errors import AucalError, LengthMismatch, Misaligned, NotBinarized, ParseError
 from conftest import Row, dataset_of
 
@@ -352,3 +358,98 @@ def test_plain_files_are_read_without_csv_reader(tmp_path, monkeypatch, capsys):
     assert run(["calibrate", "--data", str(calib), "--truth-cols", "AU6",
                 "--out", str(out)]) == 0
     assert '"AU6"' in out.read_text(encoding="utf-8")
+
+
+def _written(block):
+    """The row texts _decimal_rows gives for block, and how many rows it
+    wrote from digits: the rows for which it called repr on no cell."""
+    calls = []
+
+    def spy(value):
+        calls.append(value)
+        return repr(value)
+
+    with mock.patch.object(data, "repr", spy, create=True):
+        columns = data._decimal_rows(block)
+    return [",".join(row) for row in zip(*columns)], len(block) - len(calls) // block.shape[1]
+
+
+def _short(x: float) -> bool:
+    """repr(x) is fixed notation with at most 9 fraction digits, |x| < 1e6."""
+    text = repr(x)
+    return "e" not in text and "n" not in text and abs(x) < 1e6 \
+        and len(text.partition(".")[2]) <= 9
+
+
+EDGES = [0.0, -0.0, 1e-4, -1e-4, float(np.nextafter(1e-4, 0)), 6e-05, 999999.999999999,
+         1e15 - 1, 1e15, 2.0**53, 5e-324, float("inf"), float("-inf"), float("nan")]
+# m / 10**k, the shortest decimal repr has; a draw with k <= 9 and
+# |m| < 10**(6 + k), 0 or at least 1e-4, is one the digit writer must take
+SHORT = st.integers(0, 9).flatmap(lambda k: st.integers(-10**(6 + k) + 1, 10**(6 + k) - 1)
+                                  .filter(lambda m: m == 0 or abs(m) * 10**4 >= 10**k)
+                                  .map(lambda m: m / 10**k))
+DECIMAL = st.builds(lambda m, k: m / 10**k, st.integers(-10**16, 10**16), st.integers(0, 12))
+INTEGRAL = st.one_of(st.integers(-10**6, 10**6), st.integers(-2**60, 2**60)).map(float)
+CELL = {"decimal": DECIMAL, "float": st.floats(allow_nan=False, allow_infinity=False),
+        "integral": INTEGRAL, "edge": st.sampled_from(EDGES),
+        "mixed": st.one_of(SHORT, DECIMAL, INTEGRAL, st.sampled_from(EDGES), st.floats())}
+
+
+@st.composite
+def float_blocks(draw):
+    """(block, least rows the digit writer must take): a decimal block
+    draws at least half its rows from SHORT."""
+    kind = draw(st.sampled_from(sorted(CELL)))
+    n, c = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    sure = (n + 1) // 2 if kind == "decimal" else 0
+    rows = [[draw(SHORT if i < sure else CELL[kind]) for _ in range(c)] for i in range(n)]
+    return np.array(rows, dtype=np.float64), sure
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_blocks())
+def test_digit_writer_gives_repr(case):
+    block, sure = case
+    texts, fast = _written(block)
+    assert texts == [",".join(map(repr, row)) for row in block.tolist()]
+    assert fast == sum(all(map(_short, row)) for row in block.tolist())
+    assert fast >= sure
+
+
+@pytest.mark.parametrize("value", EDGES)
+def test_digit_writer_edges(value):
+    for block in (np.array([[value]]), np.array([[value, 2.5], [1.0, 0.25]]),
+                  np.array([EDGES, [value] * len(EDGES)])):
+        texts, _ = _written(block)
+        assert texts == [",".join(map(repr, row)) for row in block.tolist()]
+
+
+def test_bench_shaped_file_saves_as_csv_writer_does(tmp_path):
+    """2,000 rows in the benchmark's %.4f intensity and %.5f feature format,
+    one feature cell below 1e-4, loaded, binarized and saved: the bytes
+    csv.writer gives, with only that row's features written by repr."""
+    gen = np.random.default_rng(15)
+    n, aus = 2000, ["AU4", "AU5", "AU7", "AU23"]
+    intensity = np.clip(gen.normal(2.0, 1.2, (n, 4)), 0.0, 5.0)
+    features = gen.normal(0.0, 1.5, (n, 12))
+    features[7, 3], features[8, 0] = 6e-05, -0.0
+    lines = [",".join(["id", *aus, "label", "gender", *(f"f{j}" for j in range(12))])]
+    for i in range(n):
+        lines.append(",".join([f"a{i}", *(f"{v:.4f}" for v in intensity[i]),
+                               str(int(gen.random() < 0.4)), "FM"[i % 2],
+                               *(f"{v:.5f}" for v in features[i])]))
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ds = binarize(load_dataset(src).dataset, dict.fromkeys(aus, 2.5))
+    assert ds.features[7, 3] == 6e-05 and np.signbit(ds.features[8, 0])
+    floats = []
+
+    def spy(value):
+        if isinstance(value, float):
+            floats.append(value)
+        return repr(value)
+
+    with mock.patch.object(data, "repr", spy, create=True):
+        save_dataset(ds, out)
+    assert out.read_bytes() == reference_csv(ds, "label", {})
+    assert floats == ds.features[7].tolist()

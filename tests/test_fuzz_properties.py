@@ -4,11 +4,14 @@
   within 1/n_g of the cell's pooled proportion before relabeling, and only
   the rows the flip log names change label;
 - audit, relabel, train, calibrate and eval exit with 0, 1 or 2 on CSV text
-  of mostly valid cells, and never raise.
+  of mostly valid cells, and never raise;
+- compare and synth exit with 0, 1 or 2 on any JSON value and on valid
+  specs and configs with one field changed, and never raise.
 """
 
 import csv
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -132,3 +135,81 @@ def test_cli_exits_0_1_or_2_on_generated_csv(model, text):
         ]
         for argv in commands:
             assert run(argv) in (0, 1, 2), argv[0]
+
+
+# JSON values for the two JSON inputs, compare --configs and synth --config.
+# Integers are small or beyond int64: the sizes between are valid requests
+# for more memory or time than a test has.
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4),
+    st.integers(-3, 40), st.sampled_from([2**63, -2**63 - 1, 10**400]),
+    st.floats(), st.sampled_from([0.0, -0.0, 1e-320, 1e308, -1e308]))
+JSON = st.recursive(JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=8)
+
+
+@st.composite
+def near_valid(draw, valid: dict, nested: str):
+    """valid with one field changed, deleted or added, at the top level or
+    in one of the objects under valid[nested]."""
+    spec = json.loads(json.dumps(valid))
+    target = spec
+    inner = spec[nested]
+    if draw(st.booleans()):
+        keys = list(range(len(inner))) if isinstance(inner, list) else sorted(inner)
+        target = inner[draw(st.sampled_from(keys))]
+    key = draw(st.sampled_from(sorted(target) + ["extra"]))
+    if draw(st.integers(0, 4)) == 0:
+        target.pop(key, None)
+    else:
+        target[key] = draw(st.one_of(JSON_SCALARS, JSON))
+    return spec
+
+
+def _synth_config():
+    return {"n": 24, "group_probs": {"F": 0.5, "M": 0.5}, "latent_positive_prob": 0.5,
+            "au_models": {"AU6": {"mean_negative": 1.0, "mean_positive": 3.0},
+                          "AU12": {"mean_negative": 1.5, "mean_positive": 3.5,
+                                   "std_negative": 0.5, "std_positive": 0.9}},
+            "annotator_intercept": -1.0, "annotator_weights": {"AU6": 0.5, "AU12": 0.3},
+            "group_bias": {"F": 1.0}, "composition_shift": {"M": 0.4},
+            "thresholds": {"AU6": 2.2}, "feature_dim": 3, "feature_noise_std": 0.1,
+            "group_leak_dims": 1, "test_fraction": 0.3, "group_attr": "gender", "seed": 1}
+
+
+@pytest.fixture(scope="module")
+def compare_data(tmp_path_factory):
+    """A 40-row file with a test split, for compare specs to train on."""
+    path = tmp_path_factory.mktemp("compare") / "data.csv"
+    assert run(["synth", "--config", str(_write_json(path.with_suffix(".json"),
+                                                    _synth_config() | {"n": 40})),
+                "--out", str(path)]) == 0
+    return path
+
+
+def _write_json(path: Path, value) -> Path:
+    path.write_text(json.dumps(value), encoding="utf-8")
+    return path
+
+
+@SETTINGS
+@given(st.one_of(JSON, near_valid(_synth_config(), "au_models")))
+def test_synth_exits_0_1_or_2_on_generated_json(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write_json(Path(tmp) / "config.json", config)
+        assert run(["synth", "--config", str(path), "--out", f"{tmp}/out.csv"]) in (0, 1, 2)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_compare_exits_0_1_or_2_on_generated_json(compare_data, data):
+    valid = {"data": str(compare_data), "condition": "AU6,AU12", "positive_group": "F",
+             "label": "label", "group": "gender", "thresholds": {},
+             "models": [{"name": "a", "epochs": 1, "batch_size": 8},
+                        {"name": "b", "lambda": 0.0, "epochs": 2, "d_emb": 4}]}
+    spec = data.draw(st.one_of(JSON, near_valid(valid, "models")))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write_json(Path(tmp) / "spec.json", spec)
+        assert run(["compare", "--configs", str(path), "--seeds", "1",
+                    "--out", f"{tmp}/out.csv"]) in (0, 1, 2)

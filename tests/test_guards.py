@@ -3,9 +3,9 @@ typed error with exit code 1: a diverging training run, --thresholds on a
 file that already carries presence columns, thresholds for an AU outside
 --condition or with a non-finite or non-numeric value, compare specs
 whose keys or triplet settings were dropped, and compare specs and synth
-configs of the wrong JSON shape or with fields of the wrong type, which
-used to end in a traceback, a compare run with no test split or no seeds,
-and a condition that names an AU twice."""
+configs of the wrong JSON shape, with fields of the wrong type or that no
+intensity or label can be drawn from, which used to end in a traceback, a compare run with no test split or no seeds,
+and a condition or --thresholds that names an AU twice."""
 
 import dataclasses
 import json
@@ -17,7 +17,7 @@ from aucal import cli
 from aucal.audit import conditional_bias_report
 from aucal.aucfer import TrainConfig, predict, train, train_cross_entropy_only
 from aucal.cli import _load_binarized, demo_synth_config, run
-from aucal.data import binarize, save_dataset
+from aucal.data import binarize, load_dataset, save_dataset
 from aucal.errors import Diverged, InvalidConfig, RepeatedAu
 from aucal.metrics import evaluate, summarize_runs
 from aucal.relabel import relabel_to_parity
@@ -128,6 +128,19 @@ def test_thresholds_that_would_be_ignored_or_cannot_work_exit_1(
     assert code == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("audit", []), ("relabel", []), ("train", ["--epochs", "1"])])
+def test_an_au_named_twice_in_thresholds_exits_1(tmp_path, capsys, command, extra):
+    data, out = tmp_path / "d.csv", tmp_path / "out"
+    save_dataset(generate(biased_config(seed=3, n=200, feature_dim=4)).dataset, data)
+    argv = [command, "--data", str(data), "--condition", "AU6,AU12", *extra,
+            "--out", str(out), "--thresholds"]
+    assert run([*argv, "AU6=1,AU12=2, AU6=4"]) == 1
+    assert "--thresholds names AU6 twice" in capsys.readouterr().err
+    assert not out.exists()
+    assert run([*argv, "AU6=4,AU12=2"]) == 0
 
 
 @pytest.mark.parametrize("thresholds, message", [
@@ -285,6 +298,7 @@ def test_synth_rejects_misshapen_configs(tmp_path, capsys, config, message):
     ({"group_probs": [1]}, "group_probs must map names to values, not [1]"),
     ({"au_models": {"AU6": {"mean_negative": "1", "mean_positive": 3.0}}},
      "au_models['AU6'].mean_negative must be a finite number, not '1'"),
+    ({"n": 2**63}, "n must be a 64-bit integer, not 9223372036854775808"),
 ])
 def test_synth_rejects_config_values_of_the_wrong_type(tmp_path, capsys, change,
                                                        message):
@@ -292,6 +306,33 @@ def test_synth_rejects_config_values_of_the_wrong_type(tmp_path, capsys, change,
     path.write_text(json.dumps({**_SYNTH_CONFIG, **change}), encoding="utf-8")
     assert run(["synth", "--config", str(path), "--out", str(out)]) == 1
     assert message in capsys.readouterr().err and not out.exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"au_models": {}}, "au_models must name at least one AU"),
+    ({"au_models": {"AU6": {"mean_negative": 1e308, "mean_positive": 3.0}}},
+     "AU6: mean 1e+308 and std 0.8 put no intensity in [0.0, 5.0]"),
+    ({"feature_dim": 2, "feature_noise_std": -1.0}, "feature_noise_std must be >= 0"),
+    ({"annotator_weights": {"AU6": 1e308}}, "annotator intercept, weights and group_bias "
+                                            "overflow a float"),
+])
+def test_synth_rejects_configs_it_cannot_draw_from(tmp_path, capsys, change, message):
+    """Each of these ended in a traceback or a numpy overflow warning."""
+    path, out = tmp_path / "config.json", tmp_path / "x.csv"
+    path.write_text(json.dumps({**_SYNTH_CONFIG, **change}), encoding="utf-8")
+    assert run(["synth", "--config", str(path), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err and not out.exists()
+
+
+def test_synth_draws_with_a_tiny_std(tmp_path):
+    """A bound 1e320 stds away standardizes to -inf without a warning."""
+    config = {**_SYNTH_CONFIG, "latent_positive_prob": 0.0,
+              "au_models": {"AU6": {"mean_negative": 1.0, "mean_positive": 3.0,
+                                    "std_negative": 1e-320}}}
+    path, out = tmp_path / "config.json", tmp_path / "x.csv"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert run(["synth", "--config", str(path), "--out", str(out)]) == 0
+    assert load_dataset(out).dataset.intensity.tolist() == [[1.0]] * 10
 
 
 @pytest.mark.parametrize("kwargs", [
