@@ -79,23 +79,30 @@ def mine_triplets(
     count exceeds cap keep cap pairs drawn uniformly with replacement.
     Triples are anchor-major (keys in strata order, anchors in row order),
     pairs are numbered positive-major with the anchor skipped, and each
-    capped key takes one integers(0, count, (m, cap)) draw, in that order."""
+    capped key takes one integers(0, count, (m, cap)) draw, in that order.
+    The (N, 3) output is sized from the strata before any draw, m * width
+    rows per key with width = min((m - 1) * (B - m), cap), and each key
+    writes its (m, width, 3) block in place."""
     codes = CellKeys.of(batch_au_keys).codes
+    groups = [(code, members, min((members.size - 1) * (codes.size - members.size), cap))
+              for code, members in strata(codes)]
+    out = np.empty((sum(g.size * w for _, g, w in groups), 3), dtype=np.int64)
     gen = rng.generator()  # keys are visited in a fixed order
-    blocks = [np.zeros((0, 3), dtype=np.int64)]
-    for code, members in strata(codes):
-        negatives = np.flatnonzero(codes != code)
-        m, n_neg = members.size, negatives.size
-        count = (m - 1) * n_neg
-        if count == 0:
+    start = 0
+    for code, members, width in groups:
+        if width == 0:
             continue
-        flat = (np.broadcast_to(np.arange(count), (m, count)) if count <= cap else
-                gen.integers(0, count, (m, cap)))
-        q = flat // n_neg  # skip the anchor: positives at or past its rank shift
-        trio = (np.broadcast_to(members[:, None], flat.shape),
-                members[q + (q >= np.arange(m)[:, None])], negatives[flat % n_neg])
-        blocks.append(np.stack(trio, axis=-1).reshape(-1, 3))
-    return TripletSet(np.concatenate(blocks))
+        negatives = np.flatnonzero(codes != code)
+        m, count = members.size, (members.size - 1) * negatives.size
+        flat = np.arange(count) if count <= cap else gen.integers(0, count, (m, cap))
+        q, r = np.divmod(flat, negatives.size)
+        block = out[start:start + m * width].reshape(m, width, 3)
+        block[..., 0] = members[:, None]
+        # skip the anchor: positives at or past its rank shift
+        block[..., 1] = members[q + (q >= np.arange(m)[:, None])]
+        block[..., 2] = negatives[r]
+        start += m * width
+    return TripletSet(out)
 
 
 def triplet_loss(
@@ -107,9 +114,12 @@ def triplet_loss(
     """Hinge on squared-distance gaps, summed over mined triples (or
     averaged with reduction='mean'); returns the loss and its gradient
     with respect to the embeddings. Squared distances come from one Gram
-    matrix, |a|^2 + |b|^2 - 2 a.b. The gradient is 2 * scale * C @ emb,
-    where each active triple (a, p, n) adds +1 at C[a, n], C[p, p],
-    C[n, a] and -1 at C[a, p], C[p, a], C[n, n]."""
+    matrix, |a|^2 + |b|^2 - 2 a.b, read at the flat indices a*B+p and
+    a*B+n. The gradient is 2 * scale * C @ emb, where each active triple
+    (a, p, n) adds +1 at C[a, n], C[p, p], C[n, a] and -1 at C[a, p],
+    C[p, a], C[n, n]. C is built as D + D^T - diag(colsum D) from the
+    signed count matrix D (+1 at D[a, n], -1 at D[a, p]): the same +-1
+    terms regrouped, and every entry an integer, so C is exact."""
     emb = np.asarray(embeddings, dtype=float)
     t = triplets.triples
     if t.size == 0:
@@ -118,19 +128,21 @@ def triplet_loss(
     if t.min() < 0 or t.max() >= b:
         raise IndexOutOfRange("triplet index outside the batch")
     sq = (emb * emb).sum(axis=1)
-    dist = sq[:, None] + sq[None] - 2.0 * (emb @ emb.T)
-    hinge = dist[t[:, 0], t[:, 1]] - dist[t[:, 0], t[:, 2]] + margin
+    dist = sq[:, None] + sq[None]
+    dist -= 2.0 * (emb @ emb.T)
+    pos, neg = t[:, 0] * b + t[:, 1], t[:, 0] * b + t[:, 2]
+    hinge = np.take(dist, pos) - np.take(dist, neg) + margin
     active = hinge > 0
     loss = float(hinge[active].sum())
     scale = 1.0
     if reduction == "mean":
         scale = 1.0 / len(t)
         loss *= scale
-    a, p, n = t[active].T
-    slots = np.concatenate((a * b + n, p * b + p, n * b + a,
-                            a * b + p, p * b + a, n * b + n))
-    signs = np.repeat((1.0, -1.0), 3 * a.size)
-    coef = np.bincount(slots, signs, minlength=b * b).reshape(b, b)
+    weight = active.astype(float)
+    signed = np.bincount(np.concatenate((neg, pos)), np.concatenate((weight, -weight)),
+                         minlength=b * b).reshape(b, b)
+    coef = signed + signed.T  # then minus diag(colsum D), in place
+    coef.flat[::b + 1] -= signed.sum(axis=0)
     return loss, (2.0 * scale) * (coef @ emb)
 
 
@@ -258,11 +270,13 @@ class TrainResult:
 _CE_BLOWUP = 100.0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _fit(dataset: Dataset, config: TrainConfig, conditioning: Sequence[str],
          step) -> TrainResult:
     """The one epoch loop of both trainers: minibatch SGD over the train
     split, in which step(params, batch, config, rng) gives a batch's
-    LossBreakdown and gradients."""
+    LossBreakdown and gradients. Overflow warnings are off: a diverging
+    run overflows mid-epoch, and the epoch-end checks raise Diverged."""
     part = dataset.split_part("train")
     if len(part) == 0:
         raise EmptyTrainSplit("no records with split == 'train'")

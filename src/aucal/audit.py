@@ -52,7 +52,9 @@ def logistic_fit(
     step-halving. Standard errors come from the inverse observed
     information; Wald z and two-sided p-values per coefficient.
 
-    Raises Separation when the fitted probabilities pin to {0, 1} and
+    Raises Separation when the fitted probabilities pin to {0, 1} or the
+    100 Newton steps end without converging (the data are separated, so
+    the MLE does not exist and Wald p-values would mean nothing), and
     SingularDesign when the information matrix is not invertible or its
     inverse's diagonal is not finite and positive.
     """
@@ -99,9 +101,9 @@ def logistic_fit(
         if np.max(np.minimum(mu, 1.0 - mu)) < 1e-10:
             raise Separation("fitted probabilities pinned to {0, 1}")
 
+    if not converged:  # 100 halved Newton steps: the MLE does not exist
+        raise Separation(f"no convergence in {iterations} Newton steps")
     mu = sigmoid(eta)
-    if np.max(np.minimum(mu, 1.0 - mu)) < 1e-8 and not converged:
-        raise Separation("fitted probabilities pinned to {0, 1}")
     w = mu * (1.0 - mu)
     info = (X * w[:, None]).T @ X
     try:

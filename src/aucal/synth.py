@@ -161,7 +161,8 @@ def generate(config: SynthConfig) -> SynthResult:
     features = np.zeros((n, 0))
     if config.feature_dim:
         gen = rng.child("features").generator()
-        noise = gen.normal(0.0, config.feature_noise_std, (n, config.feature_dim))
+        # abs: numpy's normal refuses a scale of -0.0, which validate takes
+        noise = gen.normal(0.0, abs(config.feature_noise_std), (n, config.feature_dim))
         features = noise
         for j, au in enumerate(aus):
             features[:, j] += intensities[au]
@@ -169,6 +170,9 @@ def generate(config: SynthConfig) -> SynthResult:
         leak = (group_idx != 0).astype(float)
         for j in range(config.group_leak_dims):
             features[:, len(aus) + j] += leak
+        if not np.isfinite(features).all():
+            raise InvalidConfig(f"feature_noise_std {config.feature_noise_std:g} "
+                                f"draws features that are not finite")
 
     is_test = np.zeros(n, dtype=bool)
     if config.test_fraction > 0:

@@ -82,8 +82,8 @@ def test_logistic_singular_design():
 
 def test_zero_positive_reference_level_is_a_logistic_error():
     # 5 levels whose 3-row reference level has no positives: the Newton
-    # steps never converge and the inverse information has a negative
-    # diagonal, which used to become NaN p-values with no error
+    # steps never converge (the inverse information would have a negative
+    # diagonal, which once became NaN p-values with no error)
     gen = np.random.default_rng(1)
     levels = np.repeat(np.arange(5), (3, 51, 113, 102, 30))
     au = gen.uniform(0, 5, (levels.size, 2))
@@ -94,7 +94,7 @@ def test_zero_positive_reference_level_is_a_logistic_error():
     ds = binarize(dataset_of(recs, ["AU6", "AU12"]), {"AU6": 2.5, "AU12": 2.5})
     rep = conditional_bias_report(ds, ["AU6", "AU12"], "age_group")
     assert rep.logistic is None
-    assert rep.logistic_error.startswith("SingularDesign")
+    assert rep.logistic_error == "Separation: no convergence in 100 Newton steps"
 
 
 def _two_group_dataset(n_pos_f, n_f, n_pos_m, n_m, au6=1, au12=1):

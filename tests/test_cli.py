@@ -184,3 +184,34 @@ def test_bad_synth_config_exits_1(tmp_path):
     path.write_text(json.dumps({"n": 10}), encoding="utf-8")
     assert run(["synth", "--config", str(path),
                 "--out", str(tmp_path / "x.csv")]) == 1
+
+
+def test_synth_seed_flag_sets_the_draw(tmp_path):
+    config = _synth_config_file(tmp_path, n=200)
+    outs = {}
+    for name, seed in (("a", "5"), ("b", "5"), ("c", "6")):
+        outs[name] = tmp_path / f"{name}.csv"
+        assert run(["synth", "--config", str(config), "--seed", seed,
+                    "--out", str(outs[name])]) == 0
+    assert outs["a"].read_bytes() == outs["b"].read_bytes()
+    assert outs["a"].read_bytes() != outs["c"].read_bytes()
+
+
+def test_audit_reports_separation_for_a_level_with_no_positives(tmp_path):
+    """A 12-row level with no positives separates the pooled fit: its Newton
+    steps never converge, so the audit names the error and reports no
+    p-values rather than a group term with p near 1."""
+    gen = np.random.default_rng(16)
+    rows = ["id,AU6,AU12,label,gender"]
+    for i in range(162):
+        a6, a12 = gen.uniform(0, 5, 2)
+        minority = i >= 150
+        label = 0 if minority else int(gen.random() < 0.4)
+        rows.append(f"r{i},{a6:.2f},{a12:.2f},{label},{'M' if minority else 'F'}")
+    data, out = tmp_path / "data.csv", tmp_path / "audit.json"
+    data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    assert run(["audit", "--data", str(data), "--condition", "AU6,AU12",
+                "--out", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))["report"]
+    assert report["logistic"] is None
+    assert report["logistic_error"].startswith("Separation")

@@ -62,6 +62,13 @@ def test_finite_blow_up_raises(trainer):
         trainer(_blow_up_data(), config, ["AU6", "AU12"])
 
 
+def test_overflow_in_an_epoch_raises_diverged_without_a_warning():
+    # lambda 1e308 overflows the triplet term mid-epoch; the suite turns a
+    # RuntimeWarning into an error, so only Diverged may leave train
+    with pytest.raises(Diverged, match="epoch 1: loss nan"):
+        train(_dataset(400), TrainConfig(lam=1e308, epochs=5), ["AU6", "AU12"])
+
+
 def test_train_cli_exits_1_on_finite_blow_up(tmp_path, capsys):
     data, model = tmp_path / "data.csv", tmp_path / "model.json"
     save_dataset(_blow_up_data(), data)
@@ -315,9 +322,12 @@ def test_synth_rejects_config_values_of_the_wrong_type(tmp_path, capsys, change,
     ({"feature_dim": 2, "feature_noise_std": -1.0}, "feature_noise_std must be >= 0"),
     ({"annotator_weights": {"AU6": 1e308}}, "annotator intercept, weights and group_bias "
                                             "overflow a float"),
+    ({"n": 50, "feature_dim": 1, "feature_noise_std": 1e308},
+     "feature_noise_std 1e+308 draws features that are not finite"),
 ])
 def test_synth_rejects_configs_it_cannot_draw_from(tmp_path, capsys, change, message):
-    """Each of these ended in a traceback or a numpy overflow warning."""
+    """Each of these ended in a traceback or a numpy overflow warning, or
+    wrote a file that load_dataset refuses (features of inf)."""
     path, out = tmp_path / "config.json", tmp_path / "x.csv"
     path.write_text(json.dumps({**_SYNTH_CONFIG, **change}), encoding="utf-8")
     assert run(["synth", "--config", str(path), "--out", str(out)]) == 1
@@ -333,6 +343,18 @@ def test_synth_draws_with_a_tiny_std(tmp_path):
     path.write_text(json.dumps(config), encoding="utf-8")
     assert run(["synth", "--config", str(path), "--out", str(out)]) == 0
     assert load_dataset(out).dataset.intensity.tolist() == [[1.0]] * 10
+
+
+def test_synth_takes_a_noise_std_of_negative_zero(tmp_path):
+    """-0.0 passes validate's >= 0; numpy's normal refused it as a scale."""
+    outs = []
+    for std in (0.0, -0.0):
+        path, out = tmp_path / "config.json", tmp_path / f"{std}.csv"
+        path.write_text(json.dumps({**_SYNTH_CONFIG, "feature_dim": 1,
+                                    "feature_noise_std": std}), encoding="utf-8")
+        assert run(["synth", "--config", str(path), "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("kwargs", [

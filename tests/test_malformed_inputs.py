@@ -1,5 +1,6 @@
 """Malformed input ends in a typed error with exit code 1, not a traceback:
-a model file whose weights are not a finite, chained MLP, a calibration CSV
+a model file whose weights are not a finite, chained MLP or whose input
+width is not the data's feature count, an empty CSV, a calibration CSV
 with a short row, a mapping whose keys collide once stringified, a file
 that holds no JSON or no UTF-8 text, a threshold that is not a number, and
 a --group column the file lacks."""
@@ -47,7 +48,8 @@ def _infinite_weight(m):
     (lambda m: m["W2"].append([1.0, 2.0]), "weight shapes"),
     (lambda m: m.update(b2="x"), "numeric arrays"),
     (lambda m: m.pop("W2"), "numeric arrays"),
-], ids=["null", "inf", "short-b1", "extra-W2-row", "string-b2", "no-W2"])
+    (lambda m: m["W1"].pop(), "features dim 6 != W1 rows 5"),
+], ids=["null", "inf", "short-b1", "extra-W2-row", "string-b2", "no-W2", "narrow-W1"])
 def test_eval_rejects_malformed_model(trained, tmp_path, capsys, corrupt, message):
     data, model = trained
     model = json.loads(json.dumps(model))
@@ -103,8 +105,10 @@ EVAL = ["eval", "--model", "BAD", "--test", "DATA", "--positive-group", "F"]
      lambda data, model: data.read_bytes().replace(b"\n", b"\xff\n", 2), "BAD"),
     (["calibrate", "--data", "BAD", "--truth-cols", "AU6"],
      lambda data, model: CAL_CSV.encode().replace(b"b,", b"\xff,"), "BAD"),
+    (["audit", "--data", "BAD", "--condition", "AU6,AU12"], lambda data, model: b"",
+     "BAD"),
 ], ids=["synth-json", "compare-json", "empty-model", "truncated-model",
-        "bad-threshold", "audit-not-utf8", "calibrate-not-utf8"])
+        "bad-threshold", "audit-not-utf8", "calibrate-not-utf8", "empty-csv"])
 def test_unreadable_input_exits_1_naming_it(trained, tmp_path, capsys, argv, content,
                                             named):
     data, model = trained

@@ -28,6 +28,7 @@ computations), with k the largest number of terms one entry can sum.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -183,3 +184,35 @@ def test_wide_batch_matches_difference_form():
     emb = gen.normal(0.0, 1.0, (301, 1000))
     triplets = mine_triplets(keys, 7, Rng(5, ("mine",)))
     assert _check_loss(emb, triplets, 50.0, "sum")
+
+
+# triple sets no miner makes: indices may repeat within a triple or across
+# triples, and the batch may be a single row
+HAND_BUILT = {
+    "repeated": [(0, 1, 2), (0, 1, 2), (2, 1, 0), (0, 1, 2), (3, 0, 1)],
+    "a_is_p": [(0, 0, 1), (1, 1, 2), (2, 0, 1), (2, 2, 2)],
+    "p_is_n": [(0, 1, 1), (1, 2, 2), (0, 2, 1), (3, 3, 0)],
+    "a_is_n": [(0, 1, 0), (2, 0, 2), (1, 3, 1), (0, 1, 2)],
+    "one_row": [(0, 0, 0), (0, 0, 0)],
+}
+
+
+@pytest.mark.parametrize("reduction", ("sum", "mean"))
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_hand_built_triplet_sets_match_reference(name, reduction):
+    t = np.array(HAND_BUILT[name], dtype=np.int64)
+    emb = np.random.default_rng(len(name)).normal(0.0, 1.0, (int(t.max()) + 1, 3))
+    for margin in (0.0, 0.5, 4.0):
+        _check_loss(emb, TripletSet(t), margin, reduction)
+
+
+@pytest.mark.parametrize("reduction", ("sum", "mean"))
+@pytest.mark.parametrize("n_keys", (4, 16))
+def test_benchmark_shaped_batches_match_reference(n_keys, reduction):
+    # the trainer's default batch: 128 rows, cap 64, 16-wide relu embeddings
+    gen = np.random.default_rng(n_keys)
+    keys = [_key(code) for code in gen.permutation(np.arange(128) % n_keys)]
+    got = mine_triplets(keys, 64, Rng(n_keys, ("mine",)))
+    assert np.array_equal(got.triples, _reference_mine(keys, 64, Rng(n_keys, ("mine",))).triples)
+    emb = np.maximum(gen.normal(0.0, 1.0, (128, 16)), 0.0)
+    _check_loss(emb, got, 0.2, reduction)
