@@ -17,7 +17,7 @@ from .audit import bias_curves, conditional_bias_report
 from .aucfer import ModelParams, TrainConfig, TrainResult, predict, train
 from .calibrate import calibrate_per_group
 from .data import (AU_MAX, AU_MIN, DEFAULT_THRESHOLD, CsvColumns, CsvSchema,
-                   binarize, load_dataset, save_dataset)
+                   Dataset, binarize, load_dataset, save_dataset)
 from .errors import AucalError, EmptyDataset, InvalidConfig, InvalidModel, IoError, holds
 from .metrics import build_fair_test_set, evaluate, summarize_runs
 from .relabel import relabel_to_parity
@@ -163,15 +163,21 @@ def _cmd_synth(args) -> int:
     raw["au_models"] = {au: _config_from(AuModel, m, f"au_models {au}") for au, m
                         in _json_object(raw.get("au_models"), "au_models").items()}
     config = _config_from(SynthConfig, raw, "synth config")
-    result = generate(config)
-    dataset = binarize(
-        result.dataset,
-        {au: config.threshold_for(au) for au in config.au_ids()},
-    )
-    save_dataset(dataset, args.out,
-                 extra_columns={"fair_label": result.fair_labels.tolist()})
+    dataset = _write_synth(config, args.out)
     print(f"wrote {len(dataset)} records to {args.out}")
     return 0
+
+
+def _write_synth(config: SynthConfig, path) -> Dataset:
+    """Draw config's data with the fair labels on its test split, the
+    stand-in for a lab-controlled, unbiased test set; binarize it at
+    config's thresholds and save it with the fair_label column."""
+    result = generate(config)
+    dataset = binarize(with_fair_test_labels(result),
+                       {au: config.threshold_for(au) for au in config.au_ids()})
+    save_dataset(dataset, path,
+                 extra_columns={"fair_label": result.fair_labels.tolist()})
+    return dataset
 
 
 def _cmd_calibrate(args) -> int:
@@ -202,13 +208,14 @@ def _cmd_audit(args) -> int:
         include_logistic=len(dataset.group_levels(args.group)) < 3,
         small_level_policy=args.small_levels,
     )
+    # bias_curves fits each level alone and may raise, so it runs before any write
+    grid = np.linspace(AU_MIN, AU_MAX, 51)
+    curves = bias_curves(dataset, aus, args.group, grid=grid) if args.curves else None
     emit_json(report, args.out,
               report_header(seed=args.seed, input_path=args.data))
     if args.csv:
         Path(args.csv).write_text(bias_report_csv(report), encoding="utf-8")
     if args.curves:
-        grid = np.linspace(AU_MIN, AU_MAX, 51)
-        curves = bias_curves(dataset, aus, args.group, grid=grid)
         Path(args.curves).write_text(curves_csv(curves), encoding="utf-8")
     tested = [c for c in report.cells if c.status == "tested"]
     print(
@@ -294,20 +301,13 @@ def _cmd_compare(args) -> int:
             for seed in range(args.seeds)]))
     dataset, _ = _load_binarized(spec["data"], spec["label"], spec["condition"],
                                  spec["thresholds"])
-    test = dataset.split_part("test")
-    if len(test) == 0:  # the models train on this file's train split
+    if not dataset.is_test.any():  # the models train on this file's train split
         raise EmptyDataset(f"{spec['data']}: no rows with split == 'test' "
                            f"to evaluate on")
-    aus = spec["condition"].split(",")
-    group, positive_group = spec["group"], spec["positive_group"]
-    summaries = []
-    for name, configs in models:
-        results = []
-        for config in configs:
-            trained = train(dataset, config, aus)
-            scores, _ = predict(trained.params, test.feature_matrix())
-            results.append(evaluate(scores, test, group, positive_group))
-        summaries.append(summarize_runs(name, results))
+    runs = _evaluate_arms(dataset, models, spec["condition"].split(","),
+                          spec["group"], spec["positive_group"])
+    summaries = [summarize_runs(name, [ev for _, ev in arm])
+                 for (name, _), arm in zip(models, runs)]
     Path(args.out).write_text(summaries_csv(summaries), encoding="utf-8")
     for s in summaries:
         print(
@@ -315,6 +315,23 @@ def _cmd_compare(args) -> int:
             f"acc {s.mean_accuracy:.4f} +/- {s.std_accuracy:.4f}"
         )
     return 0
+
+
+def _evaluate_arms(dataset, arms, aus, group, positive_group):
+    """Train each arm's configs on dataset and evaluate them by one protocol:
+    run i of every arm is scored on one fair test set, built from the first
+    arm's run-i scores on the test split with that run's seed. Returns, per
+    arm, the (TrainResult, EvalResult) of each run."""
+    test = dataset.split_part("test")
+    trained = [[train(dataset, config, aus) for config in configs]
+               for _, configs in arms]
+    fair_tests = [  # arms[:1]: the reference arm, if there is one
+        build_fair_test_set(test, predict(ref.params, test.feature_matrix())[0],
+                            group, seed=config.seed)
+        for _, configs in arms[:1] for ref, config in zip(trained[0], configs)]
+    return [[(result, evaluate(predict(result.params, fair.feature_matrix())[0],
+                               fair, group, positive_group))
+             for result, fair in zip(runs, fair_tests)] for runs in trained]
 
 
 def demo_synth_config(seed: int) -> SynthConfig:
@@ -343,16 +360,7 @@ def _cmd_demo(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     config = demo_synth_config(args.seed)
     aus = config.au_ids()
-    thresholds = {au: config.threshold_for(au) for au in aus}
-
-    result = generate(config)
-    # test split gets the fair labels: the stand-in for a lab-controlled,
-    # unbiased test set
-    result.dataset = with_fair_test_labels(result)
-    dataset = binarize(result.dataset, thresholds)
-    data_csv = out / "data.csv"
-    save_dataset(dataset, data_csv,
-                 extra_columns={"fair_label": result.fair_labels.tolist()})
+    dataset = _write_synth(config, out / "data.csv")
 
     train_split = dataset.split_part("train")
     before = conditional_bias_report(train_split, aus, config.group_attr)
@@ -366,23 +374,12 @@ def _cmd_demo(args) -> int:
     after = conditional_bias_report(relabeled, aus, config.group_attr)
     emit_json(after, out / "audit_after.json", report_header(seed=args.seed))
 
-    epochs = args.epochs
-    base_cfg = TrainConfig(lam=0.0, epochs=epochs, seed=args.seed)
-    fair_cfg = TrainConfig(epochs=epochs, seed=args.seed)
-    baseline = train(dataset, base_cfg, aus)
-    aucfer = train(dataset, fair_cfg, aus)
-    _save_model(baseline, base_cfg, out / "model_baseline.json")
-    _save_model(aucfer, fair_cfg, out / "model_aucfer.json")
-
-    test = dataset.split_part("test")
-    ref_scores, _ = predict(baseline.params, test.feature_matrix())
-    fair_test = build_fair_test_set(
-        test, ref_scores, config.group_attr, seed=args.seed
-    )
+    arms = [("baseline", [TrainConfig(lam=0.0, epochs=args.epochs, seed=args.seed)]),
+            ("aucfer", [TrainConfig(epochs=args.epochs, seed=args.seed)])]
     summaries = []
-    for name, model in (("baseline", baseline), ("aucfer", aucfer)):
-        scores, _ = predict(model.params, fair_test.feature_matrix())
-        ev = evaluate(scores, fair_test, config.group_attr, "F")
+    for (name, [train_config]), [(model, ev)] in zip(
+            arms, _evaluate_arms(dataset, arms, aus, config.group_attr, "F")):
+        _save_model(model, train_config, out / f"model_{name}.json")
         emit_json(ev, out / f"eval_{name}.json", report_header(seed=args.seed))
         summaries.append(summarize_runs(name, [ev]))
     (out / "summary.csv").write_text(summaries_csv(summaries), encoding="utf-8")

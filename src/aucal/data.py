@@ -109,7 +109,7 @@ def _pack(bits: np.ndarray) -> np.ndarray:
 
 def strata(codes) -> list[tuple[int, np.ndarray]]:
     """Group row indices by code: (code, indices) pairs in ascending code
-    order, each stratum's indices ascending (a stable argsort plus split)."""
+    order, each stratum's indices ascending (slices of a stable argsort)."""
     codes = np.asarray(codes)
     if codes.size == 0:
         return []
@@ -117,7 +117,8 @@ def strata(codes) -> list[tuple[int, np.ndarray]]:
     ranked = codes[order]
     cuts = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
     firsts = ranked[np.concatenate(([0], cuts))].tolist()
-    return list(zip(firsts, np.split(order, cuts)))
+    bounds = [0, *cuts.tolist(), codes.size]
+    return [(first, order[lo:hi]) for first, lo, hi in zip(firsts, bounds, bounds[1:])]
 
 
 def _read_only(array) -> np.ndarray:

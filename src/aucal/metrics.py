@@ -112,6 +112,9 @@ def build_fair_test_set(
     if s.size != len(dataset):
         raise Misaligned(f"{s.size} scores for {len(dataset)} records")
     pruned = dataset.subset(np.flatnonzero((s >= EASY_LOW) & (s <= EASY_HIGH)))
+    if len(pruned) == 0:
+        raise InfeasibleBalance(f"no score of the {s.size} rows lies in "
+                                f"[{EASY_LOW}, {EASY_HIGH}]")
 
     y = (pruned.labels() == 1).astype(int)
     codes = pruned.group_codes(group_attr)

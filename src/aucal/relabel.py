@@ -48,6 +48,11 @@ def relabel_to_parity(
     flipped negative; groups below get the mirror-image flips. Flip targets
     are sampled uniformly within the eligible stratum. Label 1 is the
     positive class; a flipped row takes label 0 or 1, the others keep theirs.
+
+    A flip count never exceeds its eligible rows: round(n_g * |p_g - p*|)
+    is at most n_g * p_g positives or n_g * (1 - p_g) negatives, since p*
+    lies in [0, 1]. So the log's deficits stay empty; the field is kept so
+    flip logs keep their bytes.
     """
     keys = dataset.cell_keys(sorted(conditioning, key=au_sort_key))
     levels = dataset.group_levels(group_attr)
@@ -78,15 +83,8 @@ def relabel_to_parity(
                 eligible = idx[y[idx] == 0]
                 direction = "neg_to_pos"
                 new_value = 1
-            want = abs(n_flip)
-            if want > eligible.size:
-                log.deficits.append(
-                    f"{condition}/{level}: wanted {want} flips, "
-                    f"only {eligible.size} eligible"
-                )
-                want = eligible.size
             gen = rng.child(f"{condition}/{level}").generator()
-            chosen = np.sort(gen.choice(eligible, size=want, replace=False))
+            chosen = np.sort(gen.choice(eligible, size=abs(n_flip), replace=False))
             new_y[chosen] = new_value
             log.entries.extend(
                 FlipEntry(record_id=record_id, condition=condition,

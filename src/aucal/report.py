@@ -94,10 +94,7 @@ def report_header(seed: int | None = None,
 
 def emit_json(report, path: str | Path, header: dict | None = None) -> None:
     payload = {"header": header or report_header(), "report": report}
-    try:
-        Path(path).write_text(canonical_json(payload) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise IoError(str(exc))
+    Path(path).write_text(canonical_json(payload) + "\n", encoding="utf-8")
 
 
 def bias_report_csv(report: BiasReport) -> str:

@@ -1,9 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
+import pytest
 
-from aucal.cli import run
+from aucal.cli import demo_synth_config, run
 from aucal.data import CsvSchema, load_dataset
+from aucal.report import file_digest
 from conftest import rows_of
 
 
@@ -197,10 +200,8 @@ def test_synth_seed_flag_sets_the_draw(tmp_path):
     assert outs["a"].read_bytes() != outs["c"].read_bytes()
 
 
-def test_audit_reports_separation_for_a_level_with_no_positives(tmp_path):
-    """A 12-row level with no positives separates the pooled fit: its Newton
-    steps never converge, so the audit names the error and reports no
-    p-values rather than a group term with p near 1."""
+def _no_positive_level_csv(tmp_path):
+    """162 rows whose 12-row level M has no positives."""
     gen = np.random.default_rng(16)
     rows = ["id,AU6,AU12,label,gender"]
     for i in range(162):
@@ -208,10 +209,70 @@ def test_audit_reports_separation_for_a_level_with_no_positives(tmp_path):
         minority = i >= 150
         label = 0 if minority else int(gen.random() < 0.4)
         rows.append(f"r{i},{a6:.2f},{a12:.2f},{label},{'M' if minority else 'F'}")
-    data, out = tmp_path / "data.csv", tmp_path / "audit.json"
+    data = tmp_path / "data.csv"
     data.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    assert run(["audit", "--data", str(data), "--condition", "AU6,AU12",
-                "--out", str(out)]) == 0
+    return data
+
+
+def test_audit_reports_separation_for_a_level_with_no_positives(tmp_path):
+    """A 12-row level with no positives separates the pooled fit: its Newton
+    steps never converge, so the audit names the error and reports no
+    p-values rather than a group term with p near 1."""
+    out = tmp_path / "audit.json"
+    assert run(["audit", "--data", str(_no_positive_level_csv(tmp_path)),
+                "--condition", "AU6,AU12", "--out", str(out)]) == 0
     report = json.loads(out.read_text(encoding="utf-8"))["report"]
     assert report["logistic"] is None
     assert report["logistic_error"].startswith("Separation")
+
+
+def test_audit_curves_for_a_level_with_no_positives_write_nothing(tmp_path, capsys):
+    """bias_curves fits level M alone, which separates; the audit exits 1
+    before it writes --out or --curves."""
+    out, curves = tmp_path / "audit.json", tmp_path / "curves.csv"
+    assert run(["audit", "--data", str(_no_positive_level_csv(tmp_path)),
+                "--condition", "AU6,AU12", "--out", str(out),
+                "--curves", str(curves)]) == 1
+    assert capsys.readouterr().err == "error: fitted probabilities pinned to {0, 1}\n"
+    assert not out.exists() and not curves.exists()
+
+
+def test_audit_curves_digest(tmp_path):
+    """SHA-256 of the --curves CSV of a 2,000-row synth file."""
+    data, curves = _make_data(tmp_path, n=2000), tmp_path / "curves.csv"
+    assert run(["audit", "--data", str(data), "--condition", "AU6,AU12",
+                "--out", str(tmp_path / "audit.json"), "--curves", str(curves)]) == 0
+    assert file_digest(curves) == (
+        "fd6d5182a066abdb7967ca8fa7f51424d96aada149bb803363fbe4f91942bcdb")
+
+
+@pytest.mark.parametrize("command, extra", [("audit", []),
+                                            ("train", ["--epochs", "1"])])
+def test_out_in_a_missing_directory_exits_2(tmp_path, capsys, command, extra):
+    out = tmp_path / "missing" / "out.json"
+    assert run([command, "--data", str(_make_data(tmp_path, n=200)),
+                "--condition", "AU6,AU12", *extra, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and str(out) in err
+    assert "Traceback" not in err
+
+
+def test_demo_is_synth_then_compare(tmp_path):
+    """demo's data.csv is what synth writes from demo_synth_config, and its
+    summary.csv is what compare gives on that file with demo's two arms."""
+    demo = tmp_path / "demo"
+    assert run(["demo", "--seed", "0", "--epochs", "2", "--out", str(demo)]) == 0
+    config_path, data = tmp_path / "config.json", tmp_path / "data.csv"
+    config_path.write_text(json.dumps(dataclasses.asdict(demo_synth_config(0))),
+                           encoding="utf-8")
+    assert run(["synth", "--config", str(config_path), "--out", str(data)]) == 0
+    assert data.read_bytes() == (demo / "data.csv").read_bytes()
+
+    spec, table = tmp_path / "runs.json", tmp_path / "table.csv"
+    spec.write_text(json.dumps({
+        "data": str(data), "condition": "AU6,AU12", "positive_group": "F",
+        "models": [{"name": "baseline", "lambda": 0, "epochs": 2},
+                   {"name": "aucfer", "epochs": 2}]}), encoding="utf-8")
+    assert run(["compare", "--configs", str(spec), "--seeds", "1",
+                "--out", str(table)]) == 0
+    assert table.read_bytes() == (demo / "summary.csv").read_bytes()

@@ -5,7 +5,8 @@ file that already carries presence columns, thresholds for an AU outside
 whose keys or triplet settings were dropped, and compare specs and synth
 configs of the wrong JSON shape, with fields of the wrong type or that no
 intensity or label can be drawn from, which used to end in a traceback, a compare run with no test split or no seeds,
-and a condition or --thresholds that names an AU twice."""
+a compare run whose reference model leaves the fair test set no row, and a
+condition or --thresholds that names an AU twice."""
 
 import dataclasses
 import json
@@ -19,7 +20,7 @@ from aucal.aucfer import TrainConfig, predict, train, train_cross_entropy_only
 from aucal.cli import _load_binarized, demo_synth_config, run
 from aucal.data import binarize, load_dataset, save_dataset
 from aucal.errors import Diverged, InvalidConfig, RepeatedAu
-from aucal.metrics import evaluate, summarize_runs
+from aucal.metrics import build_fair_test_set, evaluate, summarize_runs
 from aucal.relabel import relabel_to_parity
 from aucal.report import summaries_csv
 from aucal.synth import generate
@@ -176,6 +177,18 @@ def _compare(tmp_path, data, models, seeds=1, **extra):
     return code, out
 
 
+def _one_model_row(dataset, config):
+    """The compare table of a one-model spec run with --seeds 1: the model
+    trained with seed 0 and scored on the fair test set built from its own
+    test-split scores."""
+    trained = train(dataset, config, ["AU6", "AU12"])
+    test = dataset.split_part("test")
+    scores, _ = predict(trained.params, test.feature_matrix())
+    fair = build_fair_test_set(test, scores, "gender", seed=0)
+    scores, _ = predict(trained.params, fair.feature_matrix())
+    return summaries_csv([summarize_runs("m", [evaluate(scores, fair, "gender", "F")])])
+
+
 def test_compare_honours_triplet_settings(tmp_path):
     data = _make_data(tmp_path, n=800)
     model = {"name": "m", "epochs": 1, "triplet_reduction": "mean",
@@ -186,32 +199,35 @@ def test_compare_honours_triplet_settings(tmp_path):
     dataset, _ = _load_binarized(data, "label", "AU6,AU12", {})
     config = TrainConfig(epochs=1, seed=0, triplet_reduction="mean",
                          max_triplets_per_anchor=3)
-    trained = train(dataset, config, ["AU6", "AU12"])
-    test = dataset.split_part("test")
-    scores, _ = predict(trained.params, test.feature_matrix())
-    want = summarize_runs("m", [evaluate(scores, test, "gender", "F")])
-    assert out.read_text(encoding="utf-8") == summaries_csv([want])
+    assert out.read_text(encoding="utf-8") == _one_model_row(dataset, config)
 
 
 def test_compare_honours_sum_reduction(tmp_path):
-    # sum is no longer the default, so a spec that names it must get it
+    # sum is no longer the default, so a spec that names it must get it; at
+    # lr 0.01 the sum model predicted one class for every fair-test row
     data = _make_data(tmp_path, n=800)
     model = {"name": "m", "epochs": 1, "triplet_reduction": "sum",
-             "max_triplets_per_anchor": 2, "learning_rate": 0.01}
+             "max_triplets_per_anchor": 2, "learning_rate": 0.002}
     code, out = _compare(tmp_path, data, [model])
     assert code == 0
 
     dataset, _ = _load_binarized(data, "label", "AU6,AU12", {})
-    test = dataset.split_part("test")
-    scores = {}
-    for reduction in ("sum", "mean"):
-        config = TrainConfig(epochs=1, seed=0, triplet_reduction=reduction,
-                             max_triplets_per_anchor=2, learning_rate=0.01)
-        trained = train(dataset, config, ["AU6", "AU12"])
-        scores[reduction], _ = predict(trained.params, test.feature_matrix())
-    assert not np.array_equal(scores["sum"], scores["mean"])
-    want = summarize_runs("m", [evaluate(scores["sum"], test, "gender", "F")])
-    assert out.read_text(encoding="utf-8") == summaries_csv([want])
+    rows = {reduction: _one_model_row(dataset, TrainConfig(
+                epochs=1, seed=0, triplet_reduction=reduction,
+                max_triplets_per_anchor=2, learning_rate=0.002))
+            for reduction in ("sum", "mean")}
+    assert rows["sum"] != rows["mean"]
+    assert out.read_text(encoding="utf-8") == rows["sum"]
+
+
+def test_compare_with_a_saturating_reference_exits_1(tmp_path, capsys):
+    """lr 30 drives every test-split score of the one model outside
+    [EASY_LOW, EASY_HIGH], so the fair test set would have no row."""
+    code, out = _compare(tmp_path, _make_data(tmp_path), [
+        {"name": "m", "lambda": 0, "learning_rate": 30, "epochs": 1, "d_emb": 1}])
+    assert code == 1
+    assert "no score of the 183 rows lies in [1e-05, 0.99999]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("model, message", [

@@ -1,9 +1,10 @@
 """Malformed input ends in a typed error with exit code 1, not a traceback:
 a model file whose weights are not a finite, chained MLP or whose input
-width is not the data's feature count, an empty CSV, a calibration CSV
-with a short row, a mapping whose keys collide once stringified, a file
-that holds no JSON or no UTF-8 text, a threshold that is not a number, and
-a --group column the file lacks."""
+width is not the data's feature count, an empty CSV, a CSV whose f<k>
+columns skip an index, a calibration CSV with a short row, a mapping whose
+keys collide once stringified, a file that holds no JSON or no UTF-8 text,
+a threshold that is not a number, a train --lr or --epochs of 0, and a
+--group column the file lacks."""
 
 import json
 
@@ -92,6 +93,7 @@ def test_canonical_json_rejects_keys_that_collide_as_strings():
 
 CAL_CSV = "id,AU6,AU6_true,gender\na,1.0,0,F\nb,3.0,1,M\n"
 EVAL = ["eval", "--model", "BAD", "--test", "DATA", "--positive-group", "F"]
+TRAIN = ["train", "--data", "DATA", "--condition", "AU6,AU12"]
 
 
 @pytest.mark.parametrize("argv, content, named", [
@@ -107,8 +109,15 @@ EVAL = ["eval", "--model", "BAD", "--test", "DATA", "--positive-group", "F"]
      lambda data, model: CAL_CSV.encode().replace(b"b,", b"\xff,"), "BAD"),
     (["audit", "--data", "BAD", "--condition", "AU6,AU12"], lambda data, model: b"",
      "BAD"),
+    (["audit", "--data", "BAD", "--condition", "AU6,AU12"],
+     lambda data, model: data.read_bytes().replace(b",f5", b",f6", 1),
+     "feature columns not contiguous f0..f5"),
+    (TRAIN + ["--lr", "0"], lambda data, model: b"", "rates, epochs, d_emb must be positive"),
+    (TRAIN + ["--epochs", "0"], lambda data, model: b"",
+     "rates, epochs, d_emb must be positive"),
 ], ids=["synth-json", "compare-json", "empty-model", "truncated-model",
-        "bad-threshold", "audit-not-utf8", "calibrate-not-utf8", "empty-csv"])
+        "bad-threshold", "audit-not-utf8", "calibrate-not-utf8", "empty-csv",
+        "gap-in-f-columns", "train-lr-0", "train-epochs-0"])
 def test_unreadable_input_exits_1_naming_it(trained, tmp_path, capsys, argv, content,
                                             named):
     data, model = trained
