@@ -94,7 +94,9 @@ def logistic_fit(
                 break
             step *= 0.5
         beta, eta, ll = cand, cand_eta, cand_ll
-        if np.max(np.abs(step * delta)) < 1e-10:
+        # the full step delta = info^-1 @ score, so it is short only where the
+        # score is near zero; a step that halving shrank is no convergence
+        if np.max(np.abs(delta)) < 1e-10:
             converged = True
             break
         mu = sigmoid(eta)
@@ -335,7 +337,10 @@ def bias_curves(
             [np.ones(int(mask.sum()))] + [intensity[au][mask] for au in aus],
             axis=1,
         )
-        fit = logistic_fit(X, y[mask], term_names=("intercept", *aus))
+        try:
+            fit = logistic_fit(X, y[mask], term_names=("intercept", *aus))
+        except (Separation, SingularDesign) as exc:
+            raise type(exc)(f"{group_attr}={lvl}: {exc}") from None
         for j, au in enumerate(aus):
             design = np.ones((grid.size, len(aus) + 1))
             for k, other in enumerate(aus):

@@ -291,6 +291,9 @@ def _cmd_compare(args) -> int:
                               f"not {json.dumps(spec[key])[:40]}")
     if not isinstance(spec.get("models"), list):
         raise _UsageError("compare spec: models must be a list of model specs")
+    if not spec["models"]:  # the fair test set is built from the first model
+        raise _UsageError("compare spec: models is empty, and the first model "
+                          "is the reference")
     models = []
     for m in spec["models"]:
         fields = dict(_json_object(m, "model spec"))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aucal import audit
 from aucal.audit import (
     bias_curves,
     conditional_bias_report,
@@ -67,6 +68,18 @@ def test_logistic_separation():
     X = np.stack([np.ones(6), np.array([0, 1, 2, 3, 4, 5.0])], axis=1)
     y = np.array([0, 0, 0, 1, 1, 1])
     with pytest.raises(Separation):
+        logistic_fit(X, y)
+
+
+def test_a_step_that_halving_shrank_is_not_convergence(monkeypatch):
+    # every candidate lowers the log-likelihood, so each step is halved 40
+    # times to 2^-40 of the Newton step: short, while the score is not zero
+    calls = iter(range(10**6))
+    monkeypatch.setattr(audit, "_log_likelihood", lambda eta, y: -next(calls))
+    gen = Rng(2, ("halved",)).generator()
+    X = np.stack([np.ones(40), gen.normal(0, 1, 40)], axis=1)
+    y = (gen.random(40) < 0.5).astype(int)
+    with pytest.raises(Separation, match="no convergence in 100 Newton steps"):
         logistic_fit(X, y)
 
 

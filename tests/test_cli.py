@@ -172,6 +172,18 @@ def test_compare_command(tmp_path):
     assert lines[1].startswith("plain,")
 
 
+def test_compare_with_no_models_exits_1(tmp_path, capsys):
+    """With no model there is no reference for the fair test set."""
+    spec = {"data": str(_make_data(tmp_path, n=300)), "condition": "AU6,AU12",
+            "positive_group": "F", "models": []}
+    configs, out = tmp_path / "runs.json", tmp_path / "compare.csv"
+    configs.write_text(json.dumps(spec), encoding="utf-8")
+    assert run(["compare", "--configs", str(configs), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: compare spec: models is empty, and the first model is the reference\n")
+    assert not out.exists()
+
+
 def test_demo_end_to_end(tmp_path, capsys):
     out = tmp_path / "demo"
     assert run(["demo", "--seed", "7", "--epochs", "3",
@@ -233,7 +245,8 @@ def test_audit_curves_for_a_level_with_no_positives_write_nothing(tmp_path, caps
     assert run(["audit", "--data", str(_no_positive_level_csv(tmp_path)),
                 "--condition", "AU6,AU12", "--out", str(out),
                 "--curves", str(curves)]) == 1
-    assert capsys.readouterr().err == "error: fitted probabilities pinned to {0, 1}\n"
+    assert capsys.readouterr().err == (
+        "error: gender=M: fitted probabilities pinned to {0, 1}\n")
     assert not out.exists() and not curves.exists()
 
 

@@ -3,7 +3,9 @@
 - save_dataset followed by load_dataset gives back every column;
 - strata visits AU cells in the order of their sorted describe() strings,
   the order every seeded stage draws its random streams in;
-- the per-cell audit does not depend on row order.
+- the per-cell audit does not depend on row order;
+- logistic_fit on a sparse two-level design returns a converged fit whose
+  score is near zero, or raises Separation or SingularDesign.
 """
 
 import tempfile
@@ -13,9 +15,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aucal.audit import conditional_bias_report
+from aucal.audit import conditional_bias_report, logistic_fit
 from aucal.aucfer import stratified_order
 from aucal.data import AuCellKey, load_dataset, save_dataset, strata
+from aucal.errors import Separation, SingularDesign
 from aucal.rng import Rng
 from conftest import Row, dataset_of
 
@@ -115,3 +118,41 @@ def test_bias_report_invariant_under_row_permutation(ds, data):
             after = conditional_bias_report(ds.subset(perm), ["AU6", "AU12"],
                                             "gender", **kwargs)
             assert after == before
+
+
+@st.composite
+def sparse_designs(draw):
+    """Intercept, two AU intensities and a minority-level indicator, with
+    labels from a logistic annotator, a minority level that is never
+    positive, an AU threshold with a few flips, or rare positives."""
+    n = draw(st.integers(8, 120))
+    share = draw(st.floats(0.02, 0.5))
+    regime = draw(st.sampled_from(["logistic", "one-label", "au-split", "rare"]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    group = (gen.random(n) < share).astype(float)
+    au = gen.uniform(0.0, 5.0, (n, 2))
+    if regime == "logistic":
+        eta = -4.0 + 0.9 * au.sum(axis=1) + gen.normal(0.0, 2.0) * group
+        y = (gen.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(int)
+    elif regime == "one-label":
+        y = np.where(group == 1, 0, gen.random(n) < 0.5).astype(int)
+    elif regime == "au-split":
+        y = (au[:, 0] > 2.5).astype(int)
+        y ^= gen.random(n) < draw(st.sampled_from([0.0, 0.02, 0.05]))
+    else:
+        y = (gen.random(n) < gen.uniform(0.01, 0.15)).astype(int)
+    return np.column_stack([np.ones(n), au, group]), y
+
+
+@SETTINGS
+@given(sparse_designs())
+def test_logistic_fit_converges_or_raises(case):
+    X, y = case
+    try:
+        fit = logistic_fit(X, y)
+    except (Separation, SingularDesign):
+        return
+    assert fit.converged
+    mu = 1.0 / (1.0 + np.exp(-(X @ fit.beta)))
+    assert np.max(np.abs(X.T @ (y - mu))) < 1e-6
+    assert np.all((fit.p_values >= 0) & (fit.p_values <= 1))
