@@ -11,6 +11,7 @@ serve as the oracle for audit tolerances.
 from __future__ import annotations
 
 import math
+import statistics
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -105,15 +106,32 @@ class SynthConfig:
         return sorted(self.au_models, key=au_sort_key)
 
 
+_ERFC = np.vectorize(math.erfc, otypes=[float])
+_INV_CDF = np.vectorize(statistics.NormalDist().inv_cdf, otypes=[float])
+
+
+def _ndtr(x):
+    """The standard normal CDF, elementwise: 0.5 * erfc(-x / sqrt(2))."""
+    return 0.5 * _ERFC(-x / math.sqrt(2))
+
+
+def _ndtri(p):
+    """The standard normal quantile, elementwise: Wichura's AS241, as
+    statistics.NormalDist.inv_cdf computes it. inv_cdf refuses p = 0 and 1,
+    which map to -inf and inf; p outside [0, 1] or NaN maps to NaN."""
+    out = np.where(p == 0, -np.inf, np.where(p == 1, np.inf, np.nan))
+    inner = (p > 0) & (p < 1)
+    out[inner] = _INV_CDF(p[inner])
+    return out
+
+
 def _truncnorm_draw(gen: np.random.Generator, mean, std, size) -> np.ndarray:
     """Inverse-CDF sampling of a normal truncated to [0, 5]."""
-    # scipy loads on the first draw, so that import aucal.cli does not pay for it
-    from scipy.special import ndtr, ndtri
     with np.errstate(over="ignore"):  # a bound beyond float range is +-inf, as ndtr wants
-        a = ndtr((AU_MIN - mean) / std)
-        b = ndtr((AU_MAX - mean) / std)
+        a = _ndtr((AU_MIN - mean) / std)
+        b = _ndtr((AU_MAX - mean) / std)
     u = gen.random(size)
-    return mean + std * ndtri(a + u * (b - a))
+    return mean + std * _ndtri(a + u * (b - a))
 
 
 @dataclass
@@ -208,14 +226,12 @@ def _region(config: SynthConfig, au: str, bit: int) -> tuple[float, float]:
 
 
 def _truncnorm_norm(mean: float, std: float) -> float:
-    from scipy.special import ndtr
-    return ndtr((AU_MAX - mean) / std) - ndtr((AU_MIN - mean) / std)
+    return _ndtr((AU_MAX - mean) / std) - _ndtr((AU_MIN - mean) / std)
 
 
 def _region_prob(mean: float, std: float, lo: float, hi: float) -> float:
-    from scipy.special import ndtr
     z = _truncnorm_norm(mean, std)
-    return (ndtr((hi - mean) / std) - ndtr((lo - mean) / std)) / z
+    return (_ndtr((hi - mean) / std) - _ndtr((lo - mean) / std)) / z
 
 
 def expected_cell_proportions(

@@ -256,7 +256,7 @@ def test_audit_curves_digest(tmp_path):
     assert run(["audit", "--data", str(data), "--condition", "AU6,AU12",
                 "--out", str(tmp_path / "audit.json"), "--curves", str(curves)]) == 0
     assert file_digest(curves) == (
-        "fd6d5182a066abdb7967ca8fa7f51424d96aada149bb803363fbe4f91942bcdb")
+        "5ba58b9e97c08abbf029684cc70e7c2b241dc167eba5527bea698fab13672e99")
 
 
 @pytest.mark.parametrize("command, extra", [("audit", []),

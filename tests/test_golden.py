@@ -10,16 +10,16 @@ from aucal.cli import run
 from aucal.report import file_digest
 
 GOLDEN = {
-    "audit_after.json": "0aaf0beeb18f7438680d656e3e46c4ad8ccde61d43a488a83516be5a66403319",
+    "audit_after.json": "0a6f2bcef080b446ae3b76bb86b417f5832cc8a10359255488aab2de6a9cfa79",
     "audit_before.csv": "9a22ec8c0a58bb96f288d99a45195ee7afebc60629543f205d851dce9286059d",
-    "audit_before.json": "4c1161d7bbe39a53edec2a25ae29145881531a701f603ccabf146e374a955a09",
-    "data.csv": "dc66e6f4a605cd9517d88ecf017a8648f6f599816063fc3807274d811e54e690",
-    "eval_aucfer.json": "cffb986981117f073d1ec9db544cf8fc7bc1b0928bdbc67bfefc9c3a189e3fdb",
+    "audit_before.json": "c9f558b146417020330d73e095e6bde9369ccbeadffc2d48f7f343b5ec12bb7c",
+    "data.csv": "7bb58609043886d356bcb4ceb09087c20822902f57a1fd834a495d042e96273c",
+    "eval_aucfer.json": "def56e9c4ef3c0b765e95cf190fd3dde051f6242ede955208610dddefc833242",
     "eval_baseline.json": "32010983ee1b17dc5a5dc90d57f4e9bcf519e9ba3c037e474b9825fbca227512",
     "flips.json": "3247136fcc9fea223b2f30a83e644f557c5bf015145e2043169ecc12077da05d",
-    "model_aucfer.json": "0e77f47ae8d27027f8c3870664e591c0a9051abd4cc04a61fc2e7036b812c7f2",
-    "model_baseline.json": "d4b128567090af83555b2d30db58db70f7503a4958442fb643e7392d3406385c",
-    "relabeled.csv": "c7693227ecf6b80da9c3c4dcfde24a20b94e2768c94a9ad51844db82a14e1c90",
+    "model_aucfer.json": "1715066991680c3b1038b342502259d3e008c49591ae0e5ff4eb63631e62f5e1",
+    "model_baseline.json": "c774c1fed2552de51db15a97d7306664be500469f905192e793a5c5881135974",
+    "relabeled.csv": "85437ad49b958bebe73c4591dc8bca203f505dd7238b8063ca62637e725a66ad",
     "summary.csv": "8730c82db2ec0909ead61f12a15bf448a75f0d59b489cb9bb4d8781bd5d4ff35",
 }
 

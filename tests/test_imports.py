@@ -1,6 +1,7 @@
 """Every name a module in aucal imports is used in that module. The package's
-__init__.py is exempt: its imports are the public re-exports. And importing
-the CLI loads no scipy module: only synth's draws need scipy.special."""
+__init__.py is exempt: its imports are the public re-exports. And aucal
+runs on numpy and the stdlib: no module imports scipy, and a whole demo
+loads no scipy module."""
 
 import ast
 import os
@@ -41,10 +42,33 @@ def test_unused_import_is_reported():
     assert _unused_imports(source) == ["line 2: dumps", "line 1: os"]
 
 
-def test_cli_import_loads_no_scipy():
-    probe = ("import sys, aucal.cli; print(sorted(m for m in sys.modules "
+def _imports_scipy(source: str) -> bool:
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.partition(".")[0] == "scipy" for name in names):
+            return True
+    return False
+
+
+def test_no_module_imports_scipy():
+    package = Path(aucal.__file__).parent
+    assert [p.name for p in sorted(package.glob("*.py"))
+            if _imports_scipy(p.read_text(encoding="utf-8"))] == []
+    assert _imports_scipy("def f():\n    from scipy.special import ndtr\n")
+
+
+def test_demo_loads_no_scipy(tmp_path):
+    probe = ("import sys; from aucal.cli import run; "
+             "code = run(['demo', '--epochs', '1', '--out', sys.argv[1]]); "
+             "print(code, sorted(m for m in sys.modules "
              "if m == 'scipy' or m.startswith('scipy.')))")
     src = str(Path(aucal.__file__).parent.parent)
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", probe, str(tmp_path)],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.splitlines()[-1] == "0 []"

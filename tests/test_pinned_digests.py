@@ -30,21 +30,21 @@ GROUPS = {
 
 AUDIT = {
     ("three", "insufficient", "joint"):
-        "1274004295a6367abfd18a2e8008fe4fdffbd8ca712d2ad8f0bc04ab22ed2452",
+        "567392628a4e9340c368133ef497f3c93821baf6d405f50ac3bcddfcbf515f1c",
     ("three", "insufficient", "marginal"):
-        "71f6b45a13b7077813419e901bbdc7ddcd411ef38dcf57c8bfdfcbdb910a5a61",
+        "903c0ea8557b0bd1c1d7640a1cc3375b726884d55c04547adbde003709b06d7b",
     ("three", "merge", "joint"):
-        "f75f08a8c8e4c5d1e1fb4589f86c88e80dc0afdb44e2069fe1eae8077baea6ef",
+        "8cb02828113f9cf2cc3b7c36c89897b58484d079e46ccc46229a49e17ee919d2",
     ("three", "merge", "marginal"):
-        "c8e48d558d8839a30f349f45c78a11e770d926ef752200af3202118593df67b9",
+        "4342d9e22c8b5d2e209eb41ecab3f7dc6fe2491997aa9161a466a4033ae64b18",
     ("four", "insufficient", "joint"):
-        "d650d9033d720b992a0fd7405bcbbd9475f234527d2a3b5e3179cb4cfa9e33bf",
+        "d18eac50e0cf354117cd4b9c7bdcca5e20a641cc684aa55ccab78a668328b4d1",
     ("four", "insufficient", "marginal"):
-        "65e1ddfada5f7c7bfc5aee1bd33fb0e1d0bd9d10a0ca6610006a1a226ea3de47",
+        "c0711f9e4e3ec1bf9e049a9b5dca878ace5c3ff6f2de0046b501f65b1e25ebf4",
     ("four", "merge", "joint"):
-        "b5215dbd16f64805b97c760f25e3bd036b240b2deb8896cb2efbf879fc4cb9d5",
+        "40eaf791b1edd53b1c93690b4ca0c62a59771e5f9ee46e8ac2e3079de7e45ebe",
     ("four", "merge", "marginal"):
-        "5176b2ed0295c11559d660cbe549678574bf1aa9a35183e279de8f905dc10005",
+        "7a4423e93b47442a9eb9dceeb8e4efcd6dcd8c4f50cf3468a38364a060c0b715",
 }
 CALIBRATION = "b4cc15d0179737000b7e1b3671609d10d483ea9d67adbbb3fc6533c78157f023"
 RELABEL = "55f4620b25b12dc792e52f798774a0ebeb662a38d8332dbf9d67d66d6d4f15e8"

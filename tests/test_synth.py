@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from dataclasses import replace
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from aucal.data import AuCellKey
 from aucal.errors import InvalidConfig
@@ -9,6 +9,8 @@ from aucal.rng import Rng
 from aucal.stats import two_proportion_test
 from aucal.synth import (
     AuModel,
+    _ndtr,
+    _ndtri,
     expected_cell_proportions,
     generate,
     with_fair_test_labels,
@@ -79,6 +81,60 @@ def test_truncnorm_marginal_distribution():
     for q in (1.0, 2.0, 3.0):
         expected = (ndtr((q - m.mean_negative) / m.std_negative) - lo) / (hi - lo)
         assert abs((x < q).mean() - expected) < 0.01
+
+
+def _ulps(got, ref):
+    """|got - ref| in units of the spacing of doubles at ref."""
+    return float(abs(got - ref) / np.spacing(abs(float(ref))))
+
+
+def test_ndtr_against_mpmath():
+    """0.5 * erfc(-x / sqrt(2)) rounds its argument once, which erfc's
+    conditioning (x^2 in the lower tail) amplifies: within 2 (1 + x^2) ulp,
+    down to the subnormal results at x = -38."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.prec = 120
+    xs = np.concatenate([np.linspace(-38.4, 8.5, 400), -np.logspace(-300, 1, 40),
+                         np.logspace(-300, 0.9, 40)])
+    for x in xs:
+        ref = mp.ncdf(mp.mpf(float(x)))
+        assert _ulps(mp.mpf(float(_ndtr(x))), ref) <= 2 * (1 + x * x), x
+
+
+def test_ndtri_against_mpmath():
+    """Wichura's AS241 is within 6 ulp of the true quantile, from the
+    smallest subnormal p to 1 - 2^-53."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.prec = 120
+    ps = np.concatenate([np.logspace(-323, -1, 150), np.linspace(0.01, 0.99, 150),
+                         1 - np.logspace(-15.9, -1, 100),
+                         [5e-324, 0.5 - 2**-54, 0.5, 0.5 + 2**-53, 1 - 2**-53]])
+    for p in ps:
+        got = float(_ndtri(p))
+        ref = mp.mpf(got)  # Newton's method from the result to the true quantile
+        for _ in range(4):
+            ref -= (mp.ncdf(ref) - mp.mpf(float(p))) / mp.npdf(ref)
+        assert _ulps(mp.mpf(got), ref) <= 6, p
+
+
+def test_ndtr_and_ndtri_edges_are_scipys():
+    """Where inv_cdf would raise (p = 0 or 1) or a bound is beyond float
+    range, the draws get scipy.special's infinities and NaNs."""
+    xs = np.array([-np.inf, -1e308, -40.0, 0.0, 40.0, 1e308, np.inf, np.nan])
+    np.testing.assert_array_equal(_ndtr(xs), ndtr(xs))
+    ps = np.array([0.0, 0.5, 1.0, -0.5, 1.5, np.nan])
+    np.testing.assert_array_equal(_ndtri(ps), ndtri(ps))
+
+
+def test_a_draw_at_p_one_ends_in_invalid_config():
+    """With the lower bound 7.5 sd above the mean, a + u (b - a) rounds to
+    1 for some draws, whose intensity is then inf: the config is refused
+    for its non-finite features, as with scipy's ndtri, not by inv_cdf."""
+    cfg = replace(biased_config(seed=3, n=2000, feature_dim=2), latent_positive_prob=0.0,
+                  au_models={"AU6": AuModel(-7.5, 1.0, 1.0, 1.0)},
+                  annotator_weights={}, thresholds={})
+    with pytest.raises(InvalidConfig, match="not finite"):
+        generate(cfg)
 
 
 def test_leak_dims_carry_group_signal():
@@ -209,7 +265,6 @@ def test_expected_proportions_match_monte_carlo():
         for au, m in cfg.au_models.items():
             mean = np.where(latent == 1, m.mean_positive, m.mean_negative)
             std = np.where(latent == 1, m.std_positive, m.std_negative)
-            from scipy.special import ndtri
             a = ndtr((0.0 - mean) / std)
             b = ndtr((5.0 - mean) / std)
             xs[au] = mean + std * ndtri(a + gen.random(n) * (b - a))
