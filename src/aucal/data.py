@@ -36,7 +36,7 @@ PRESENCE_SUFFIX = "_presence"
 KNOWN_GROUP_COLUMNS = ("gender", "age_group", "race")
 AU_MIN, AU_MAX = 0.0, 5.0
 DEFAULT_THRESHOLD = 2.5  # binarizes an AU that no threshold is given for
-_SAVE_CHUNK = 8192  # rows formatted at a time, so save holds few cell strings
+_SAVE_CELLS = 1 << 15  # cells formatted at a time, so save holds few cell strings
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
@@ -464,12 +464,11 @@ def save_dataset(
     (round-trip safe, including presence columns when binarized).
 
     The bytes are those csv.writer writes for repr of each number and the
-    text cells. Intensities and features are written from integer digits
-    where that is proven equal to repr: a float64 cell that is a decimal of
-    at most 15 significant digits and at most 9 fraction digits, 0 or at
-    least 1e-4 in size (x is the nearest double to m / 10**k, and m below
-    10**15); a row with any other cell, such as 6e-05 or a full-precision
-    float, is written with repr, as is every integer cell."""
+    text cells, formatted _SAVE_CELLS cells at a time. Integer cells take
+    repr once per distinct value in a block; a float row whose every cell is
+    a proven short decimal is written from integer digits (_decimal_rows),
+    and any other row, such as one with 6e-05 or a full-precision float,
+    with repr."""
     group_cols = list(dataset.attribute_levels)
     binarized = [j for j, au in enumerate(dataset.au_ids) if au in dataset.binarized]
     header = ["id"] + list(dataset.au_ids)
@@ -488,14 +487,15 @@ def save_dataset(
 
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(map(_csv_text, header)) + "\r\n")
-        for lo in range(0, len(dataset), _SAVE_CHUNK):
-            rows = slice(lo, lo + _SAVE_CHUNK)
+        step = max(1, _SAVE_CELLS // len(header))
+        for lo in range(0, len(dataset), step):
+            rows = slice(lo, lo + step)
             part = dataset._rows(rows)
             ids = part.ids.tolist()
             if _NEEDS_QUOTES.search("".join(ids)):
                 ids = list(map(_csv_text, ids))
             columns = [ids, *_decimal_rows(part.intensity),
-                       *_reprs(part.presence[:, binarized]), *_reprs(part.label[:, None])]
+                       *_int_columns(np.column_stack([part.presence[:, binarized], part.label]))]
             columns += [levels[g][part.codes[g]].tolist() for g in group_cols]
             columns.append(np.where(part.is_test, "test", "train").tolist())
             columns += _decimal_rows(part.features)
@@ -503,18 +503,20 @@ def save_dataset(
             fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))
 
 
-def _reprs(block: np.ndarray) -> list[list[str]]:
-    """block's columns as the CSV has always held them: repr of each cell as
-    a Python float or int (never quoted)."""
-    return [list(map(repr, col)) for col in block.T.tolist()]
+def _int_columns(block: np.ndarray) -> list[list[str]]:
+    """An integer block's columns as repr writes each cell (never quoted),
+    from repr of each distinct value, indexed by the cells."""
+    values, inverse = np.unique(block, return_inverse=True)
+    texts = np.array(list(map(repr, values.tolist())), dtype=object)
+    return texts[inverse.reshape(block.shape)].T.tolist()
 
 
 def _decimal_rows(block: np.ndarray) -> list[list[str]]:
     """A float64 block's cells as save_dataset's columns: one column of row
     texts, each ",".join(map(repr, row)), built from integer digits in one
     vectorized pass for the rows whose every cell is proven to print as a
-    short decimal; repr per cell for the other rows, and _reprs(block) when
-    no row qualifies.
+    short decimal; repr per cell for the other rows, and per column when no
+    row qualifies.
 
     A cell x qualifies when m = rint(|x| * 10**9) is below 10**15, m / 10**9
     == |x|, and |x| >= 1e-4 or x == 0. The division is correctly rounded, so
@@ -524,14 +526,12 @@ def _decimal_rows(block: np.ndarray) -> list[list[str]]:
     signbit(x), with its trailing zeros stripped down to one fraction digit.
     The block is written with the fewest fraction digits k >= 1 at which
     every cell of a qualifying row passes the same test, m / 10**k == |x|."""
-    if block.dtype != np.float64 or not block.size:
-        return _reprs(block)
     size = np.abs(block)
     size = np.where(size < 1e15, size, np.inf)  # NaN fails too, and nothing overflows
     m = np.rint(size * 1e9)
     rows_ok = ((m < 1e15) & (m / 1e9 == size) & ((size >= 1e-4) | (block == 0))).all(axis=1)
-    if not rows_ok.any():
-        return _reprs(block)
+    if block.dtype != np.float64 or not block.size or not rows_ok.any():
+        return [list(map(repr, col)) for col in block.T.tolist()]
     size = np.where(rows_ok[:, None], size, 0.0)
     for k in range(1, 10):  # ends by k = 9, where every cell left is exact
         m = np.rint(size * 10.0**k)

@@ -165,9 +165,10 @@ def generate(config: SynthConfig) -> SynthResult:
         m = config.au_models[au]
         mean = np.where(latent == 1, m.mean_positive, m.mean_negative)
         std = np.where(latent == 1, m.std_positive, m.std_negative)
-        intensities[au] = _truncnorm_draw(
-            rng.child(f"au/{au}").generator(), mean, std, n
-        )
+        x = intensities[au] = _truncnorm_draw(rng.child(f"au/{au}").generator(), mean, std, n)
+        outside = x[~((x >= AU_MIN) & (x <= AU_MAX))]  # NaN too
+        if outside.size:  # a quantile of 1 is inf, which load_dataset refuses
+            raise InvalidConfig(f"{au} draws intensity {outside[0]:g} outside [{AU_MIN}, {AU_MAX}]")
 
     eta = np.full(n, config.annotator_intercept, dtype=float)
     for au, w in config.annotator_weights.items():

@@ -13,13 +13,16 @@
   exactly as its quoted twin does through csv.reader;
 - save_dataset's digit writer gives repr's text for every float block, and
   writes from digits exactly the rows whose every cell repr prints as a
-  decimal of at most 9 fraction digits below 1e6 in size.
+  decimal of at most 9 fraction digits below 1e6 in size;
+- save_dataset's traced peak memory does not grow with the row count.
 """
 
 import csv
 import io
 import os
 import tempfile
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -29,10 +32,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aucal import data
-from aucal.cli import run
+from aucal.cli import demo_synth_config, run
 from aucal.data import (AuCellKey, CellKeys, CsvSchema, binarize, load_dataset,
                         save_dataset)
 from aucal.errors import AucalError, LengthMismatch, Misaligned, NotBinarized, ParseError
+from aucal.synth import generate
 from conftest import Row, dataset_of
 
 HOSTILE = [",", '"', "\r", "\n", "\x00", "\t", " ", "\xa0", "\x1c", "é", "中", "😀"]
@@ -424,24 +428,32 @@ def test_digit_writer_edges(value):
         assert texts == [",".join(map(repr, row)) for row in block.tolist()]
 
 
-def test_bench_shaped_file_saves_as_csv_writer_does(tmp_path):
+@pytest.mark.parametrize("blocks", [False, True], ids=["bench", "blocks"])
+def test_bench_shaped_file_saves_as_csv_writer_does(tmp_path, blocks):
     """2,000 rows in the benchmark's %.4f intensity and %.5f feature format,
     one feature cell below 1e-4, loaded, binarized and saved: the bytes
-    csv.writer gives, with only that row's features written by repr."""
+    csv.writer gives, with only that row's features written by repr. With
+    blocks, 4,000 rows span at least 3 of save's blocks, every third row's
+    features are full precision (so repr writes them too), one id needs
+    quotes and an extra column is saved."""
     gen = np.random.default_rng(15)
-    n, aus = 2000, ["AU4", "AU5", "AU7", "AU23"]
+    n, aus = (4000 if blocks else 2000), ["AU4", "AU5", "AU7", "AU23"]
     intensity = np.clip(gen.normal(2.0, 1.2, (n, 4)), 0.0, 5.0)
     features = gen.normal(0.0, 1.5, (n, 12))
     features[7, 3], features[8, 0] = 6e-05, -0.0
+    slow = sorted({7, *range(0, n, 3)}) if blocks else [7]
     lines = [",".join(["id", *aus, "label", "gender", *(f"f{j}" for j in range(12))])]
     for i in range(n):
-        lines.append(",".join([f"a{i}", *(f"{v:.4f}" for v in intensity[i]),
+        cell = repr if blocks and i % 3 == 0 else "{:.5f}".format
+        lines.append(",".join(['"a,5"' if blocks and i == 5 else f"a{i}",
+                               *(f"{v:.4f}" for v in intensity[i]),
                                str(int(gen.random() < 0.4)), "FM"[i % 2],
-                               *(f"{v:.5f}" for v in features[i])]))
+                               *map(cell, features[i].tolist())]))
     src, out = tmp_path / "in.csv", tmp_path / "out.csv"
     src.write_text("\n".join(lines) + "\n", encoding="utf-8")
     ds = binarize(load_dataset(src).dataset, dict.fromkeys(aus, 2.5))
     assert ds.features[7, 3] == 6e-05 and np.signbit(ds.features[8, 0])
+    extra = {"note": [f'n"{i}' if i % 5 else i for i in range(n)]} if blocks else {}
     floats = []
 
     def spy(value):
@@ -450,6 +462,23 @@ def test_bench_shaped_file_saves_as_csv_writer_does(tmp_path):
         return repr(value)
 
     with mock.patch.object(data, "repr", spy, create=True):
-        save_dataset(ds, out)
-    assert out.read_bytes() == reference_csv(ds, "label", {})
-    assert floats == ds.features[7].tolist()
+        save_dataset(ds, out, extra_columns=extra)
+    assert out.read_bytes() == reference_csv(ds, "label", extra)
+    assert floats == ds.features[slow].ravel().tolist()
+    columns = len(out.read_text(encoding="utf-8").partition("\r\n")[0].split(","))
+    assert n > 2 * (data._SAVE_CELLS // columns) or not blocks
+
+
+def test_save_working_set_does_not_grow_with_rows(tmp_path):
+    """save_dataset formats a bounded block of cells at a time, so its
+    traced peak on demo data is about the same at 2k and at 16k rows."""
+    peaks = []
+    for n in (2000, 16000):
+        ds = generate(replace(demo_synth_config(7), n=n)).dataset
+        tracemalloc.start()
+        try:
+            save_dataset(ds, tmp_path / f"{n}.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks

@@ -129,11 +129,11 @@ def test_ndtr_and_ndtri_edges_are_scipys():
 def test_a_draw_at_p_one_ends_in_invalid_config():
     """With the lower bound 7.5 sd above the mean, a + u (b - a) rounds to
     1 for some draws, whose intensity is then inf: the config is refused
-    for its non-finite features, as with scipy's ndtri, not by inv_cdf."""
+    for that intensity, before its features are drawn, not by inv_cdf."""
     cfg = replace(biased_config(seed=3, n=2000, feature_dim=2), latent_positive_prob=0.0,
                   au_models={"AU6": AuModel(-7.5, 1.0, 1.0, 1.0)},
                   annotator_weights={}, thresholds={})
-    with pytest.raises(InvalidConfig, match="not finite"):
+    with pytest.raises(InvalidConfig, match=r"AU6 draws intensity inf outside \[0.0, 5.0\]"):
         generate(cfg)
 
 
