@@ -76,22 +76,23 @@ def accuracy_parity_check(
     grp = np.asarray(groups)
     if not (pred.size == truth.size == grp.size):
         raise LengthMismatch("predicted/truth/groups lengths differ")
-    acc, f1, correct, totals = {}, {}, {}, {}
-    for lvl in sorted(set(grp.tolist())):
-        mask = grp == lvl
-        correct[lvl] = int(np.sum(pred[mask] == truth[mask]))
-        totals[lvl] = int(mask.sum())
-        acc[lvl] = correct[lvl] / totals[lvl]
-        f1[lvl] = f1_score(pred[mask], truth[mask])
-    levels = list(correct)
-    pairwise = {
-        (a, b): two_proportion_test(correct[a], totals[a], correct[b], totals[b])
-        for i, a in enumerate(levels)
-        for b in levels[i + 1:]
-    }
-    return ParityCheck(per_group_accuracy=acc, per_group_f1=f1,
-                       p_value=min(pairwise.values(), default=1.0),
-                       pairwise_p=pairwise)
+    levels, codes = np.unique(grp, return_inverse=True)
+    return _parity(pred, truth, levels.tolist(), codes)
+
+
+def _parity(pred: np.ndarray, truth: np.ndarray, levels: list, codes: np.ndarray) -> ParityCheck:
+    """accuracy_parity_check over the levels that hold a row; row i's level
+    is levels[codes[i]]."""
+    totals = np.bincount(codes, minlength=len(levels)).tolist()
+    correct = np.bincount(codes[pred == truth], minlength=len(levels)).tolist()
+    held = [k for k, total in enumerate(totals) if total]
+    pairwise = {(levels[a], levels[b]):
+                two_proportion_test(correct[a], totals[a], correct[b], totals[b])
+                for i, a in enumerate(held) for b in held[i + 1:]}
+    return ParityCheck(per_group_accuracy={levels[k]: correct[k] / totals[k] for k in held},
+                       per_group_f1={levels[k]: f1_score(pred[codes == k], truth[codes == k])
+                                     for k in held},
+                       p_value=min(pairwise.values(), default=1.0), pairwise_p=pairwise)
 
 
 def calibrate_per_group(
@@ -110,18 +111,20 @@ def calibrate_per_group(
         raise LengthMismatch("intensities/truth/groups lengths differ")
     if x.size == 0:
         raise EmptyInput("no samples")
+    levels, codes = np.unique(grp, return_inverse=True)
+    levels = levels.tolist()
 
     g_thr, g_acc = calibrate_global(x, y)
-    raw = accuracy_parity_check((x > g_thr).astype(int), y, grp)
+    raw = _parity((x > g_thr).astype(int), y, levels, codes)
     thresholds = {}
-    cut = np.full(x.size, np.nan)  # each row's level threshold
-    for lvl in raw.per_group_accuracy:
-        mask = grp == lvl
+    cut = np.full(len(levels), np.nan)  # each level's threshold, by code
+    for k, lvl in enumerate(levels):
+        mask = codes == k
         if y[mask].min() != y[mask].max():
-            thresholds[lvl] = cut[mask] = calibrate_global(x[mask], y[mask])[0]
-    degenerate = tuple(lvl for lvl in raw.per_group_accuracy if lvl not in thresholds)
-    keep = ~np.isnan(cut)
-    fit = accuracy_parity_check((x[keep] > cut[keep]).astype(int), y[keep], grp[keep])
+            thresholds[lvl] = cut[k] = calibrate_global(x[mask], y[mask])[0]
+    degenerate = tuple(lvl for lvl in levels if lvl not in thresholds)
+    keep = ~np.isnan(cut)[codes]
+    fit = _parity((x[keep] > cut[codes[keep]]).astype(int), y[keep], levels, codes[keep])
 
     return CalibrationResult(
         au_id=au_id,

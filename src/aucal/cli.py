@@ -18,7 +18,8 @@ from .aucfer import ModelParams, TrainConfig, TrainResult, predict, train
 from .calibrate import calibrate_per_group
 from .data import (AU_MAX, AU_MIN, DEFAULT_THRESHOLD, CsvColumns, CsvSchema,
                    Dataset, binarize, load_dataset, save_dataset)
-from .errors import AucalError, EmptyDataset, InvalidConfig, InvalidModel, IoError, holds
+from .errors import (AucalError, EmptyDataset, InvalidConfig, InvalidModel, IoError,
+                     RepeatedAu, holds)
 from .metrics import build_fair_test_set, evaluate, summarize_runs
 from .relabel import relabel_to_parity
 from .report import (
@@ -184,11 +185,13 @@ def _cmd_calibrate(args) -> int:
     # the calibration CSV carries AU intensities plus expert truth columns
     # named <AU>_true
     aus = args.truth_cols.split(",")
+    if len(set(aus)) < len(aus):  # the JSON would keep one of the two results
+        raise RepeatedAu(f"an AU is named twice in --truth-cols {args.truth_cols}")
     text = {args.group, *(f"{au}_true" for au in aus)}  # columns read as text stay text
     table = CsvColumns(args.data, lambda header: set(aus) - text)
     if not len(table):
         raise _UsageError(f"{args.data}: empty file")
-    groups = table.cells(args.group)
+    groups = np.array(table.cells(args.group))
     results = {
         au: calibrate_per_group(table.intensity(au), table.bits(f"{au}_true"),
                                 groups, au_id=au)

@@ -311,9 +311,10 @@ class CsvColumns:
 
     def bits(self, name: str) -> np.ndarray:
         """A 0/1 column, such as AU presence or expert-coded truth."""
-        raw = np.array(self.cells(name))
-        self.reject((raw != "0") & (raw != "1"), name, "must be 0 or 1")
-        return raw == "1"
+        cells = self.cells(name)
+        if not set(cells) <= {"0", "1"}:
+            self.reject(~np.isin(cells, ["0", "1"]), name, "must be 0 or 1")
+        return np.frombuffer("".join(cells).encode("ascii"), np.uint8) == ord("1")
 
 
 def _read_csv(path: str | Path) -> tuple[list[str], list, int]:

@@ -76,16 +76,12 @@ def best_threshold(
     values: np.ndarray, labels: np.ndarray, grid: np.ndarray
 ) -> tuple[float, float]:
     """The threshold t in grid that maximizes the accuracy of
-    1[value > t], the smallest on ties, and that accuracy."""
-    order = np.argsort(values, kind="stable")
-    xs, ys = values[order], labels[order]
-    # pos_cum[i] = positives among the i smallest values
-    pos_cum = np.concatenate([[0], np.cumsum(ys)])
-    n_pos = int(ys.sum())
-    # correct = (# y==0 with value <= t) + (# y==1 with value > t)
-    below = np.searchsorted(xs, grid, side="right")
-    pos_below = pos_cum[below]
-    correct = (below - pos_below) + (n_pos - pos_below)
+    1[value > t], the smallest on ties, and that accuracy. Label 1 is the
+    positive class, against every other label."""
+    pos = labels == 1
+    # correct = (# label != 1 with value <= t) + (# label == 1 with value > t)
+    correct = (np.searchsorted(np.sort(values[~pos]), grid, side="right") + int(pos.sum())
+               - np.searchsorted(np.sort(values[pos]), grid, side="right"))
     best = int(np.argmax(correct))  # argmax returns the first (smallest t)
     return float(grid[best]), float(correct[best]) / values.size
 

@@ -1,13 +1,31 @@
+"""Threshold calibration and the accuracy-parity test.
+
+The threshold scan counts, at each grid point, the rows of each class on
+either side from one sort of that class's values, and the parity test
+counts per level from integer group codes. `_reference_best_threshold`
+(one stable argsort and a cumulative count of positives) and
+`_reference_parity_check` (one string mask per level) are the scan and the
+test as they were written before; the results must keep every bit,
+checked through repr, on inputs with heavy ties, -0.0 and degenerate
+levels."""
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aucal.calibrate import (
+    CalibrationResult,
+    ParityCheck,
+    _candidate_grid,
     accuracy_parity_check,
     calibrate_global,
     calibrate_per_group,
 )
 from aucal.errors import EmptyInput, LengthMismatch
+from aucal.metrics import f1_score, select_threshold
 from aucal.rng import Rng
+from aucal.stats import two_proportion_test
 
 
 def brute_force_threshold(intensities, truth):
@@ -159,3 +177,111 @@ def test_accuracy_parity_k_levels():
     groups = ["A", "A", "B", "B", "C", "C"]
     check = accuracy_parity_check(pred, truth, groups)
     assert set(check.pairwise_p) == {("A", "B"), ("A", "C"), ("B", "C")}
+
+
+def _reference_best_threshold(values, labels, grid):
+    order = np.argsort(values, kind="stable")
+    xs, ys = values[order], labels[order]
+    # pos_cum[i] = positives among the i smallest values
+    pos_cum = np.concatenate([[0], np.cumsum(ys)])
+    n_pos = int(ys.sum())
+    # correct = (# y==0 with value <= t) + (# y==1 with value > t)
+    below = np.searchsorted(xs, grid, side="right")
+    pos_below = pos_cum[below]
+    correct = (below - pos_below) + (n_pos - pos_below)
+    best = int(np.argmax(correct))  # argmax returns the first (smallest t)
+    return float(grid[best]), float(correct[best]) / values.size
+
+
+def _reference_select_threshold(scores, labels):
+    s = np.asarray(scores, dtype=float)
+    y = np.asarray(labels, dtype=int)
+    distinct = np.unique(s)
+    mids = (distinct[:-1] + distinct[1:]) / 2.0
+    grid = np.concatenate([[distinct[0] - 0.5], mids, [distinct[-1] + 0.5]])
+    return _reference_best_threshold(s, y, grid)
+
+
+def _reference_calibrate_global(x, y):
+    return _reference_best_threshold(x, y, _candidate_grid(x))
+
+
+def _reference_parity_check(pred, truth, grp):
+    acc, f1, correct, totals = {}, {}, {}, {}
+    for lvl in sorted(set(grp.tolist())):
+        mask = grp == lvl
+        correct[lvl] = int(np.sum(pred[mask] == truth[mask]))
+        totals[lvl] = int(mask.sum())
+        acc[lvl] = correct[lvl] / totals[lvl]
+        f1[lvl] = f1_score(pred[mask], truth[mask])
+    levels = list(correct)
+    pairwise = {
+        (a, b): two_proportion_test(correct[a], totals[a], correct[b], totals[b])
+        for i, a in enumerate(levels)
+        for b in levels[i + 1:]
+    }
+    return ParityCheck(per_group_accuracy=acc, per_group_f1=f1,
+                       p_value=min(pairwise.values(), default=1.0),
+                       pairwise_p=pairwise)
+
+
+def _reference_calibrate_per_group(x, y, grp, au_id):
+    g_thr, g_acc = _reference_calibrate_global(x, y)
+    raw = _reference_parity_check((x > g_thr).astype(int), y, grp)
+    thresholds = {}
+    cut = np.full(x.size, np.nan)  # each row's level threshold
+    for lvl in raw.per_group_accuracy:
+        mask = grp == lvl
+        if y[mask].min() != y[mask].max():
+            thresholds[lvl] = cut[mask] = _reference_calibrate_global(x[mask], y[mask])[0]
+    degenerate = tuple(lvl for lvl in raw.per_group_accuracy if lvl not in thresholds)
+    keep = ~np.isnan(cut)
+    fit = _reference_parity_check((x[keep] > cut[keep]).astype(int), y[keep], grp[keep])
+    return CalibrationResult(
+        au_id=au_id,
+        global_threshold=g_thr,
+        global_accuracy=g_acc,
+        per_group_thresholds=thresholds,
+        per_group_accuracy=fit.per_group_accuracy,
+        per_group_f1=fit.per_group_f1,
+        parity_p_value=fit.p_value,
+        per_group_accuracy_raw=raw.per_group_accuracy,
+        raw_parity_p_value=min((p for pair, p in raw.pairwise_p.items()
+                                if not set(pair) & set(degenerate)), default=1.0),
+        degenerate_levels=degenerate,
+    )
+
+
+@st.composite
+def tied_calibration_sets(draw):
+    """Intensities rounded to 0-2 decimals (so many ties), some zeros signed
+    -0.0, 0/1 truths and 1-3 group levels, one of them at times holding a
+    single truth class."""
+    n = draw(st.integers(1, 80))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    x = np.round(np.array(column(st.floats(0.0, 5.0))), draw(st.integers(0, 2)))
+    x[(x == 0) & np.array(column(st.booleans()))] = -0.0
+    y = np.array(column(st.integers(0, 1)))
+    grp = np.array(column(st.sampled_from(["F", "M", "X"][:draw(st.integers(1, 3))])))
+    if draw(st.booleans()):
+        y[grp == grp[0]] = draw(st.integers(0, 1))
+    return x, y, grp
+
+
+@settings(max_examples=60, deadline=None)
+@given(tied_calibration_sets())
+def test_calibration_keeps_the_reference_bits(case):
+    x, y, grp = case
+    want = _reference_calibrate_per_group(x, y, grp, "AU6")
+    assert repr(calibrate_per_group(x, y, grp, au_id="AU6")) == repr(want)
+    assert repr(calibrate_per_group(x.tolist(), y.tolist(), grp.tolist(),
+                                    au_id="AU6")) == repr(want)
+    pred = (x > 2.5).astype(int)
+    assert repr(accuracy_parity_check(pred, y, grp)) \
+        == repr(_reference_parity_check(pred, y, grp))
+    if y.min() != y.max():
+        assert repr(select_threshold(x, y)) == repr(_reference_select_threshold(x, y))
+        assert repr(select_threshold(-x, y)) == repr(_reference_select_threshold(-x, y))

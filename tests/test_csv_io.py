@@ -3,7 +3,9 @@
 - save_dataset writes exactly the bytes csv.writer would, for any text in
   ids, group levels, header names and extra columns, and load_dataset reads
   them back;
-- numeric cells padded with any whitespace load to the unpadded values;
+- numeric cells padded with any whitespace load to the unpadded values, and
+  0/1 cells so padded read as 0/1 in load_dataset and aucal calibrate, where
+  any other cell names its row and column;
 - a bad cell raises ParseError naming its row, column and reason;
 - rows with a missing intensity are dropped and counted;
 - a field longer than csv.field_size_limit() ends in exit code 1 naming
@@ -19,6 +21,7 @@
 
 import csv
 import io
+import json
 import os
 import tempfile
 import tracemalloc
@@ -148,6 +151,58 @@ def test_padded_numeric_cells_load_to_the_same_values(tmp_path, pad):
     np.testing.assert_array_equal(got.features, want.features)
     np.testing.assert_array_equal(np.signbit(got.features), np.signbit(want.features))
     np.testing.assert_array_equal(got.presence, want.presence)
+
+
+BIT_CELLS = ["1", " 1", "0 ", "\t0\t", "\xa01", "1\x1c", "0", "　1　", "\x1f0"]
+
+
+def _bits_file(path, cells, quoted):
+    """One row per cell, the cell both AU6's presence and its truth; AU6's
+    intensity separates the rows whose cell reads 1."""
+    rows = ["id,AU6,AU6_presence,AU6_true,label,gender"]
+    for i, cell in enumerate(cells):
+        x = 1.0 + 2.0 * (cell.strip() == "1") + 0.01 * i
+        rows.append(f"r{i},{x:.2f},{cell},{cell},{i % 2},{'FM'[i % 2]}")
+    if quoted:  # csv.reader, not numpy, reads the file
+        rows[1] = '"r0"' + rows[1][2:]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+def test_padded_bit_cells_read_as_their_stripped_text(tmp_path, quoted):
+    cells = BIT_CELLS * 3
+    want = np.array([c.strip() for c in cells]) == "1"
+    padded = _bits_file(tmp_path / "padded.csv", cells, quoted)
+    bare = _bits_file(tmp_path / "bare.csv", [c.strip() for c in cells], quoted)
+    np.testing.assert_array_equal(load_dataset(padded).dataset.presence[:, 0], want)
+    assert data.CsvColumns(padded, lambda header: {"AU6"}).bits("AU6_true").tolist() \
+        == want.tolist()
+    reports = []
+    for path in (padded, bare):
+        out = tmp_path / f"{path.stem}.json"
+        assert run(["calibrate", "--data", str(path), "--truth-cols", "AU6",
+                    "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text(encoding="utf-8"))["report"])
+    assert reports[0] == reports[1]
+    assert reports[0]["AU6"]["global_accuracy"] == 1.0
+
+
+@pytest.mark.parametrize("bad", ["2", "", "1.0", " 2 ", "01"])
+@pytest.mark.parametrize("command, column", [
+    (["calibrate", "--truth-cols", "AU6"], "AU6_true"),
+    (["audit", "--condition", "AU6"], "AU6_presence"),
+])
+def test_a_bit_cell_other_than_0_or_1_names_its_row(tmp_path, capsys, bad, command,
+                                                     column):
+    cells = BIT_CELLS * 2
+    cells[4], cells[9] = bad, "7"  # rows 6 and 11; the first is named
+    path = _bits_file(tmp_path / "d.csv", cells, quoted=False)
+    out = tmp_path / "out.json"
+    assert run([*command, "--data", str(path), "--out", str(out)]) == 1
+    assert f"row 6, column {column!r}: unparseable value (must be 0 or 1)" \
+        in capsys.readouterr().err
+    assert not out.exists()
 
 
 BASE = ("id,AU6,AU12,label,gender,split,f0\n"

@@ -6,7 +6,7 @@ whose keys or triplet settings were dropped, and compare specs and synth
 configs of the wrong JSON shape, with fields of the wrong type or that no
 intensity or label can be drawn from, which used to end in a traceback, a compare run with no test split or no seeds,
 a compare run whose reference model leaves the fair test set no row, and a
-condition or --thresholds that names an AU twice."""
+condition, --thresholds or --truth-cols that names an AU twice."""
 
 import dataclasses
 import json
@@ -440,3 +440,18 @@ def test_repeated_condition_au_exits_1(tmp_path, capsys, command):
     assert code == 1
     assert "AU is named twice" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("truth_cols", ["AU6,AU6", "AU6,AU12,AU6"])
+def test_repeated_truth_col_exits_1(tmp_path, capsys, truth_cols):
+    data = tmp_path / "cal.csv"
+    data.write_text("id,AU6,AU12,AU6_true,AU12_true,gender\n"
+                    "a,1.0,2.0,0,1,F\nb,3.0,0.5,1,0,M\nc,2.5,1.0,1,0,F\nd,0.5,3.0,0,1,M\n",
+                    encoding="utf-8")
+    out = tmp_path / "cal.json"
+    assert run(["calibrate", "--data", str(data), "--truth-cols", truth_cols,
+                "--out", str(out)]) == 1
+    assert f"an AU is named twice in --truth-cols {truth_cols}" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(["calibrate", "--data", str(data), "--truth-cols", "AU6,AU12",
+                "--out", str(out)]) == 0
