@@ -312,9 +312,11 @@ class CsvColumns:
     def bits(self, name: str) -> np.ndarray:
         """A 0/1 column, such as AU presence or expert-coded truth."""
         cells = self.cells(name)
-        if not set(cells) <= {"0", "1"}:
-            self.reject(~np.isin(cells, ["0", "1"]), name, "must be 0 or 1")
-        return np.frombuffer("".join(cells).encode("ascii"), np.uint8) == ord("1")
+        if set(cells) <= {"0", "1"}:
+            return np.frombuffer("".join(cells).encode("ascii"), np.uint8) == ord("1")
+        raw = np.array(cells)  # which drops trailing NULs: "1\x00" reads as 1
+        self.reject((raw != "0") & (raw != "1"), name, "must be 0 or 1")
+        return raw == "1"
 
 
 def _read_csv(path: str | Path) -> tuple[list[str], list, int]:

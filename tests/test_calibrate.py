@@ -67,6 +67,13 @@ def test_calibrate_global_matches_brute_force():
         assert acc == pytest.approx(bacc)
 
 
+def test_scan_counts_label_1_as_positive_against_every_other_label():
+    # the scan once summed the labels as positive counts: accuracy 5/3 here
+    assert calibrate_global([1.0, 2.0, 3.0], [0, 2, 2]) == (3.5, 1.0)
+    assert calibrate_global([1.0, 2.0, 3.0], [0, 1, -1]) == (1.5, 2 / 3)
+    assert select_threshold([1.0, 2.0, 3.0], [2, 1, 1]) == (1.5, 1.0)
+
+
 def test_calibrate_global_errors():
     with pytest.raises(LengthMismatch):
         calibrate_global([1, 2], [0])

@@ -153,15 +153,16 @@ def test_padded_numeric_cells_load_to_the_same_values(tmp_path, pad):
     np.testing.assert_array_equal(got.presence, want.presence)
 
 
-BIT_CELLS = ["1", " 1", "0 ", "\t0\t", "\xa01", "1\x1c", "0", "　1　", "\x1f0"]
+BIT_CELLS = ["1", " 1", "0 ", "\t0\t", "\xa01", "1\x1c", "0", "　1　", "\x1f0", "1\x00"]
 
 
 def _bits_file(path, cells, quoted):
     """One row per cell, the cell both AU6's presence and its truth; AU6's
     intensity separates the rows whose cell reads 1."""
     rows = ["id,AU6,AU6_presence,AU6_true,label,gender"]
+    ones = np.array(_as_loaded(cells)) == "1"
     for i, cell in enumerate(cells):
-        x = 1.0 + 2.0 * (cell.strip() == "1") + 0.01 * i
+        x = 1.0 + 2.0 * ones[i] + 0.01 * i
         rows.append(f"r{i},{x:.2f},{cell},{cell},{i % 2},{'FM'[i % 2]}")
     if quoted:  # csv.reader, not numpy, reads the file
         rows[1] = '"r0"' + rows[1][2:]
@@ -172,7 +173,7 @@ def _bits_file(path, cells, quoted):
 @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
 def test_padded_bit_cells_read_as_their_stripped_text(tmp_path, quoted):
     cells = BIT_CELLS * 3
-    want = np.array([c.strip() for c in cells]) == "1"
+    want = np.array(_as_loaded(cells)) == "1"
     padded = _bits_file(tmp_path / "padded.csv", cells, quoted)
     bare = _bits_file(tmp_path / "bare.csv", [c.strip() for c in cells], quoted)
     np.testing.assert_array_equal(load_dataset(padded).dataset.presence[:, 0], want)
