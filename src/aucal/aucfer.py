@@ -23,6 +23,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidConfig,
     InvalidLabel,
+    InvalidModel,
     NoFeatures,
     check_types,
 )
@@ -357,11 +358,16 @@ def predict(
         raise DimensionMismatch(
             f"features dim {x.shape[1]} != W1 rows {params.W1.shape[0]}"
         )
-    emb, logits = forward(params, x)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge finite weights overflow
+        emb, logits = forward(params, x)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        probs = np.exp(shifted)
+        probs /= probs.sum(axis=1, keepdims=True)
     scores = probs[:, 1]
+    bad = ~np.isfinite(scores)
+    if bad.any():
+        raise InvalidModel(f"the score of feature row {int(bad.argmax())} is not finite "
+                           "(the weights overflow)")
     if single:
         return scores[0], emb[0]
     return scores, emb

@@ -272,6 +272,13 @@ class CsvColumns:
     def cells(self, name: str) -> list[str]:
         return list(map(str.strip, self._raw(name)))
 
+    def distinct(self, name: str) -> tuple[list[str], np.ndarray]:
+        """name's distinct raw cells, stripped, and each row's index into them."""
+        raw = self._raw(name)
+        index = {cell: i for i, cell in enumerate(dict.fromkeys(raw))}
+        return (list(map(str.strip, index)),
+                np.fromiter(map(index.__getitem__, raw), dtype=np.int64, count=len(raw)))
+
     def filled(self, name: str) -> np.ndarray:  # a float column from numpy has no blank cell
         values = self._raw(name)
         return (np.ones(len(values), dtype=bool) if isinstance(values, np.ndarray) else
@@ -345,7 +352,8 @@ def _read_plain(path: str | Path, floats: Callable) -> tuple[list[str], list, in
     csv.field_size_limit(), so line.split(",") gives csv.reader's cells. numpy
     takes no float cell that float() refuses, and gives float()'s value."""
     with Path(path).open(newline="", encoding="utf-8") as fh:
-        text = fh.read().replace("\r\n", "\n")
+        text = fh.read()
+    text = text.replace("\r\n", "\n") if "\r" in text else text  # no copy of a CR-free text
     lines = [] if '"' in text or "\r" in text else text.removesuffix("\n").split("\n")
     del text
     if len(lines) < 2 or not all(lines) or max(map(len, lines)) > csv.field_size_limit():
@@ -423,23 +431,31 @@ def load_dataset(path: str | Path, schema: CsvSchema | None = None) -> LoadResul
     for au, col in presence_cols.items():
         presence[:, au_cols.index(au)] = table.bits(col)
 
-    label = table.parse(schema.label_col, int, np.int64, schema.label_col,
-                        "not an integer")
+    cells, index = table.distinct(schema.label_col)  # int once per distinct cell
+    try:
+        label = np.array(list(map(int, cells)), dtype=np.int64)[index]
+    except (ValueError, OverflowError):  # parse names the first bad row
+        label = table.parse(schema.label_col, int, np.int64, schema.label_col,
+                            "not an integer")
 
     levels, codes = {}, {}
-    for g in group_cols:
-        values, codes[g] = np.unique(np.array(table.cells(g)), return_inverse=True)
-        levels[g] = tuple(values.tolist())
+    for g in group_cols:  # numpy's str array drops trailing NULs: "F\x00" joins "F"
+        cells, index = table.distinct(g)
+        values, inverse = np.unique(np.array(cells), return_inverse=True)
+        levels[g], codes[g] = tuple(values.tolist()), inverse[index]
 
     features = np.empty((len(table), feature_dim))
     for j, c in enumerate(feat_cols):
         features[:, j] = table.parse(c, float, float, "f*", "feature not a number")
         table.reject(~np.isfinite(features[:, j]), c, "feature not finite")
 
-    split = np.array(table.cells("split") if "split" in table.index
-                     else [""] * len(table))
-    table.reject((split != "") & (split != "train") & (split != "test"),
-                 "split", "split must be train/test")
+    is_test = np.zeros(len(table), dtype=bool)
+    if "split" in table.index:
+        cells, index = table.distinct("split")
+        split = np.array(cells)
+        table.reject(((split != "") & (split != "train") & (split != "test"))[index],
+                     "split", "split must be train/test")
+        is_test = (split == "test")[index]
 
     dataset = Dataset(
         au_ids=tuple(au_cols),
@@ -451,7 +467,7 @@ def load_dataset(path: str | Path, schema: CsvSchema | None = None) -> LoadResul
         label=label,
         codes=codes,
         features=features,
-        is_test=split == "test",
+        is_test=is_test,
     )
     return LoadResult(dataset=dataset, dropped_rows=keep.size - len(table),
                       ignored_columns=ignored)
@@ -503,7 +519,7 @@ def save_dataset(
             columns.append(np.where(part.is_test, "test", "train").tolist())
             columns += _decimal_rows(part.features)
             columns += [[_csv_text(str(v)) for v in values[rows]] for values in extra.values()]
-            fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")  # a block has a row
 
 
 def _int_columns(block: np.ndarray) -> list[list[str]]:

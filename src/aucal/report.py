@@ -45,6 +45,8 @@ def _encode(obj, out: list[str]) -> None:
             raise IoError(f"mapping keys collide as strings: {sorted(map(repr, obj))}")
         _encode_object(sorted(items.items()), out)
     elif isinstance(obj, (list, tuple)):
+        if _encode_rows(obj, out):
+            return
         out.append("[")
         for i, v in enumerate(obj):
             if i:
@@ -53,6 +55,22 @@ def _encode(obj, out: list[str]) -> None:
         out.append("]")
     else:
         raise IoError(f"cannot serialize {type(obj).__name__}")
+
+
+def _encode_rows(items: list | tuple, out: list[str]) -> bool:
+    """Append items from one row template and return True when every item is
+    an instance of one dataclass whose field values are all str (a flip log)."""
+    cls = type(items[0]) if items else None
+    names = _field_names(cls) if dataclasses.is_dataclass(cls) else ()
+    if not names or any(type(item) is not cls for item in items):
+        return False
+    values = [getattr(item, name) for item in items for name in names]
+    if set(map(type, values)) != {str}:
+        return False
+    row = "{" + ",".join(encode_basestring_ascii(name) + ":%s" for name in names) + "}"
+    rows = ",".join([row] * len(items)) % tuple(map(encode_basestring_ascii, values))
+    out.append("[" + rows + "]")
+    return True
 
 
 def _encode_object(pairs: list[tuple[str, object]], out: list[str]) -> None:

@@ -126,12 +126,17 @@ def _ndtri(p):
 
 
 def _truncnorm_draw(gen: np.random.Generator, mean, std, size) -> np.ndarray:
-    """Inverse-CDF sampling of a normal truncated to [0, 5]."""
+    """Inverse-CDF sampling of a normal truncated to [0, 5]: mean + std *
+    ndtri(a + u (b - a)), a and b the bounds' CDFs. Where [0, 5] lies above
+    the mean, a and b near 1 would lose precision, so the draw is mirrored:
+    mean - std * ndtri(c_b + u (c_a - c_b)), c = ndtr((mean - bound) / std)."""
     with np.errstate(over="ignore"):  # a bound beyond float range is +-inf, as ndtr wants
-        a = _ndtr((AU_MIN - mean) / std)
-        b = _ndtr((AU_MAX - mean) / std)
+        lo, hi = (AU_MIN - mean) / std, (AU_MAX - mean) / std
+        mirror = lo > 0
+        a = _ndtr(np.where(mirror, -hi, lo))
+        b = _ndtr(np.where(mirror, -lo, hi))
     u = gen.random(size)
-    return mean + std * _ndtri(a + u * (b - a))
+    return mean + np.where(mirror, -1.0, 1.0) * std * _ndtri(a + u * (b - a))
 
 
 @dataclass

@@ -131,6 +131,24 @@ def test_train_eval_round_trip(tmp_path, capsys):
     assert "disc_abs" in payload["report"]
 
 
+def test_eval_exits_1_on_a_model_whose_scores_overflow(tmp_path, capsys):
+    """W1[0][0] = 1e308 in demo's model is finite, so the model loads, but
+    x @ W1 overflows and the softmax takes inf - inf: eval exits 1 naming
+    the first row (of the test split) whose score is not finite, and writes
+    no report."""
+    demo, out = tmp_path / "demo", tmp_path / "eval.json"
+    assert run(["demo", "--seed", "7", "--epochs", "1", "--out", str(demo)]) == 0
+    model = json.loads((demo / "model_aucfer.json").read_text(encoding="utf-8"))
+    model["W1"][0][0] = 1e308
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["eval", "--model", str(path), "--test", str(demo / "data.csv"),
+                "--positive-group", "F", "--out", str(out)]) == 1
+    assert "the score of feature row 2 is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_calibrate_command(tmp_path):
     gen = np.random.default_rng(4)
     rows = ["id,AU6,AU6_true,gender"]

@@ -16,7 +16,10 @@
 - save_dataset's digit writer gives repr's text for every float block, and
   writes from digits exactly the rows whose every cell repr prints as a
   decimal of at most 9 fraction digits below 1e6 in size;
-- save_dataset's traced peak memory does not grow with the row count.
+- save_dataset's traced peak memory does not grow with the row count;
+- load_dataset's label, group and split columns, converted once per
+  distinct cell, equal the per-cell conversion kept here as the
+  `_reference_*` helpers, or fail with the same row and column.
 """
 
 import csv
@@ -420,6 +423,95 @@ def test_plain_files_are_read_without_csv_reader(tmp_path, monkeypatch, capsys):
     assert '"AU6"' in out.read_text(encoding="utf-8")
 
 
+def _reference_label(table, label_col):
+    """The label column as load_dataset read it before: int per cell."""
+    return table.parse(label_col, int, np.int64, label_col, "not an integer")
+
+
+def _reference_groups(table, group_cols):
+    """Group levels and codes as load_dataset read them before: np.unique of
+    one numpy str array of every stripped cell."""
+    levels, codes = {}, {}
+    for g in group_cols:
+        values, codes[g] = np.unique(np.array(table.cells(g)), return_inverse=True)
+        levels[g] = tuple(values.tolist())
+    return levels, codes
+
+
+def _reference_is_test(table):
+    """The test-split mask as load_dataset read it before: every stripped
+    cell checked, and a list of n blanks for an absent column."""
+    split = np.array(table.cells("split") if "split" in table.index
+                     else [""] * len(table))
+    table.reject((split != "") & (split != "train") & (split != "test"),
+                 "split", "split must be train/test")
+    return split == "test"
+
+
+def _few_valued(label, levels, codes, is_test):
+    return (label.dtype, label.tolist(), levels,
+            {g: (c.dtype, c.tolist()) for g, c in codes.items()}, is_test.tolist())
+
+
+def _reference_load(path):
+    """What the per-cell references give for load_dataset's label, levels,
+    codes and split mask, or the ParseError's row, column and text."""
+    table = data.CsvColumns(path, lambda header: {"AU6"})
+    table.keep(table.filled("AU6"))
+    try:
+        label = _reference_label(table, "label")
+        levels, codes = _reference_groups(
+            table, [g for g in data.KNOWN_GROUP_COLUMNS if g in table.index])
+        return _few_valued(label, levels, codes, _reference_is_test(table))
+    except ParseError as exc:
+        return exc.row, exc.column, str(exc)
+
+
+def _distinct_load(path):
+    try:
+        ds = load_dataset(path).dataset
+    except ParseError as exc:
+        return exc.row, exc.column, str(exc)
+    return _few_valued(ds.label, dict(ds.attribute_levels), dict(ds.codes), ds.is_test)
+
+
+LABEL_CELLS = ["0", "1", " 1", "+1", "1_0", "01", "-0", "9223372036854775808", "x"]
+GROUP_CELLS = ["F", " F", "F\x00", "F\x00 ", "M", "M\t", "é", "中 ", "Ω\x00", "\xa0X"]
+SPLIT_CELLS = ["train", "test", " test ", "", " ", "TEST", "test\x00", "\ttrain"]
+
+
+@st.composite
+def few_valued_files(draw):
+    """A CSV's rows, header first: label, group and split cells from small
+    vocabularies drawn per file, the split column at times absent, and rows
+    with a blank AU6 cell, which load_dataset drops before it reads these
+    columns."""
+    vocab = {"label": LABEL_CELLS, "gender": GROUP_CELLS, "race": GROUP_CELLS,
+             "split": SPLIT_CELLS}
+    header = ["id", "AU6", "label", "gender"]
+    header += draw(st.lists(st.sampled_from(["race", "split"]), unique=True))
+    cells = {c: draw(st.lists(st.sampled_from(v), min_size=1, max_size=3, unique=True))
+             for c, v in vocab.items()}
+    rows = [[f"r{i}", "" if i and draw(st.integers(0, 3)) == 0 else "2.5",
+             *(draw(st.sampled_from(cells[c])) for c in header[2:])]
+            for i in range(draw(st.integers(1, 12)))]
+    return [header, *rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(few_valued_files(), st.booleans())
+def test_per_distinct_load_gives_the_per_cell_columns(table, quoted):
+    """load_dataset converts the label, group and split columns once per
+    distinct cell: the arrays and levels the per-cell references give, or
+    the same ParseError, on plain files and on files csv.reader reads."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, quoting=csv.QUOTE_ALL if quoted else csv.QUOTE_MINIMAL,
+                       lineterminator="\n").writerows(table)
+        assert _distinct_load(path) == _reference_load(path)
+
+
 def _written(block):
     """The row texts _decimal_rows gives for block, and how many rows it
     wrote from digits: the rows for which it called repr on no cell."""
@@ -484,16 +576,19 @@ def test_digit_writer_edges(value):
         assert texts == [",".join(map(repr, row)) for row in block.tolist()]
 
 
-@pytest.mark.parametrize("blocks", [False, True], ids=["bench", "blocks"])
-def test_bench_shaped_file_saves_as_csv_writer_does(tmp_path, blocks):
+@pytest.mark.parametrize("case", ["bench", "blocks", "one_row_block"])
+def test_bench_shaped_file_saves_as_csv_writer_does(tmp_path, case):
     """2,000 rows in the benchmark's %.4f intensity and %.5f feature format,
     one feature cell below 1e-4, loaded, binarized and saved: the bytes
     csv.writer gives, with only that row's features written by repr. With
     blocks, 4,000 rows span at least 3 of save's blocks, every third row's
     features are full precision (so repr writes them too), an id in the
-    third block needs quotes and an extra column is saved."""
+    third block needs quotes and an extra column is saved; one_row_block is
+    blocks with a row count that leaves save's last block one row."""
     gen = np.random.default_rng(15)
-    n, aus = (4000 if blocks else 2000), ["AU4", "AU5", "AU7", "AU23"]
+    blocks, aus = case != "bench", ["AU4", "AU5", "AU7", "AU23"]
+    step = data._SAVE_CELLS // 25  # the columns saved with blocks
+    n = {"bench": 2000, "blocks": 4000, "one_row_block": 3 * step + 1}[case]
     intensity = np.clip(gen.normal(2.0, 1.2, (n, 4)), 0.0, 5.0)
     features = gen.normal(0.0, 1.5, (n, 12))
     features[7, 3], features[8, 0] = 6e-05, -0.0
@@ -522,8 +617,9 @@ def test_bench_shaped_file_saves_as_csv_writer_does(tmp_path, blocks):
     assert out.read_bytes() == reference_csv(ds, "label", extra)
     assert floats == ds.features[slow].ravel().tolist()
     if blocks:
-        columns = len(out.read_text(encoding="utf-8").partition("\r\n")[0].split(","))
-        assert n > 2 * (data._SAVE_CELLS // columns)  # at least 3 blocks
+        columns = out.read_bytes().partition(b"\r\n")[0].count(b",") + 1
+        assert columns == 25 and n > 2 * step  # at least 3 blocks
+        assert case != "one_row_block" or n % step == 1
 
 
 def test_save_working_set_does_not_grow_with_rows(tmp_path):

@@ -5,6 +5,8 @@
   the rows the flip log names change label;
 - audit, relabel, train, calibrate and eval exit with 0, 1 or 2 on CSV text
   of mostly valid cells, and never raise;
+- eval exits with 0, 1 or 2 on a saved model with one field changed, and
+  never raises, with numpy's RuntimeWarnings raised as errors;
 - compare and synth exit with 0, 1 or 2 on any JSON value and on valid
   specs and configs with one field changed, and never raise.
 """
@@ -135,6 +137,34 @@ def test_cli_exits_0_1_or_2_on_generated_csv(model, text):
         ]
         for argv in commands:
             assert run(argv) in (0, 1, 2), argv[0]
+
+
+MODEL_VALUES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.integers(-3, 3),
+    st.sampled_from([1e308, -1e308, 1e300, -1e300, 1e400, 2**63, "ragged", "empty"]))
+
+
+@SETTINGS
+@given(st.data())
+def test_eval_exits_0_1_or_2_on_a_model_with_one_field_changed(model, data):
+    """One field of a saved model set to null, a bool, a string, a huge
+    number, a ragged or an empty list, or deleted: a top-level key, a
+    weight row or a weight."""
+    saved = json.loads(model.read_text(encoding="utf-8"))
+    target, key = saved, data.draw(st.sampled_from(sorted(saved)))
+    while isinstance(target[key], list) and target[key] and data.draw(st.booleans()):
+        target, key = target[key], data.draw(st.integers(0, len(target[key]) - 1))
+    value = data.draw(MODEL_VALUES)
+    if isinstance(target, dict) and data.draw(st.integers(0, 5)) == 0:
+        del target[key]
+    elif value == "ragged" and isinstance(target[key], list):
+        target[key] = target[key][:-1]
+    else:
+        target[key] = [] if value == "empty" else value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write_json(Path(tmp) / "model.json", saved)
+        assert run(["eval", "--model", str(path), "--test", str(model.parent / "data.csv"),
+                    "--positive-group", "F", "--out", f"{tmp}/eval.json"]) in (0, 1, 2)
 
 
 # JSON values for the two JSON inputs, compare --configs and synth --config.

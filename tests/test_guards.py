@@ -341,13 +341,13 @@ def test_synth_rejects_config_values_of_the_wrong_type(tmp_path, capsys, change,
     ({"n": 50, "feature_dim": 1, "feature_noise_std": 1e308},
      "feature_noise_std 1e+308 draws features that are not finite"),
     ({"n": 2000, "seed": 3, "latent_positive_prob": 0.0,
-      "au_models": {"AU6": {"mean_negative": -7.5, "mean_positive": 3.0, "std_negative": 1.0}}},
-     "AU6 draws intensity inf outside [0.0, 5.0]"),
+      "au_models": {"AU6": {"mean_negative": -40.0, "mean_positive": 3.0, "std_negative": 1.0}}},
+     "AU6: mean -40.0 and std 1.0 put no intensity in [0.0, 5.0]"),
 ])
 def test_synth_rejects_configs_it_cannot_draw_from(tmp_path, capsys, change, message):
     """Each of these ended in a traceback or a numpy overflow warning, or
-    wrote a file that load_dataset refuses (features or intensities of inf:
-    a lower bound far in the upper tail puts a + u(b - a) at 1)."""
+    wrote a file that load_dataset refuses (features of inf). At a mean 40
+    sd below 0, even the mirrored draw's ndtr underflows to 0."""
     path, out = tmp_path / "config.json", tmp_path / "x.csv"
     path.write_text(json.dumps({**_SYNTH_CONFIG, **change}), encoding="utf-8")
     assert run(["synth", "--config", str(path), "--out", str(out)]) == 1

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
 from aucal.data import AuCellKey
@@ -11,6 +13,7 @@ from aucal.synth import (
     AuModel,
     _ndtr,
     _ndtri,
+    _truncnorm_draw,
     expected_cell_proportions,
     generate,
     with_fair_test_labels,
@@ -126,15 +129,34 @@ def test_ndtr_and_ndtri_edges_are_scipys():
     np.testing.assert_array_equal(_ndtri(ps), ndtri(ps))
 
 
-def test_a_draw_at_p_one_ends_in_invalid_config():
-    """With the lower bound 7.5 sd above the mean, a + u (b - a) rounds to
-    1 for some draws, whose intensity is then inf: the config is refused
-    for that intensity, before its features are drawn, not by inv_cdf."""
+def test_a_lower_bound_far_above_the_mean_draws_from_the_mirrored_tail():
+    """With the lower bound 7.5 sd above the mean, a + u (b - a) rounded to
+    1 for some draws, whose intensity was then inf, and generate refused
+    the config. The mirrored draw takes the tail probabilities near 0, so
+    every intensity is in [0, 5] and distinct."""
     cfg = replace(biased_config(seed=3, n=2000, feature_dim=2), latent_positive_prob=0.0,
                   au_models={"AU6": AuModel(-7.5, 1.0, 1.0, 1.0)},
                   annotator_weights={}, thresholds={})
-    with pytest.raises(InvalidConfig, match=r"AU6 draws intensity inf outside \[0.0, 5.0\]"):
-        generate(cfg)
+    x = generate(cfg).dataset.intensity[:, 0]
+    assert ((x >= 0.0) & (x <= 5.0)).all() and np.unique(x).size == x.size
+
+
+@st.composite
+def tail_models(draw):
+    """(mean, std): mean in [-30, 10], std in [0.5, 2], [0, 5] within 30 sd."""
+    std = draw(st.floats(0.5, 2.0))
+    return draw(st.floats(max(-30.0, -30.0 * std), 10.0)), std
+
+
+@settings(max_examples=60, deadline=None)
+@given(tail_models(), st.integers(0, 2**32 - 1))
+def test_truncated_draws_stay_in_range_and_keep_their_precision(model, seed):
+    """10,000 draws lie in [0, 5], and at least 99.9% of them are distinct,
+    however far [0, 5] lies in either tail."""
+    mean, std = model
+    x = _truncnorm_draw(np.random.default_rng(seed), mean, std, 10_000)
+    assert ((x >= 0.0) & (x <= 5.0)).all()
+    assert np.unique(x).size >= 9_990
 
 
 def test_leak_dims_carry_group_signal():
