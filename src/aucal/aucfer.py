@@ -10,8 +10,9 @@ in the tests.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,10 +67,91 @@ class TrainConfig:
 
 @dataclass
 class TripletSet:
-    triples: np.ndarray  # (N_trp, 3) anchor/positive/negative indices
+    """Mined triples, one (anchor, positive, negative) row of batch
+    indices per triple. From mine_triplets, triples is the (N, 3)
+    transpose of a fresh contiguous (3, N) array: each column is
+    contiguous, and the caller may write to it."""
+
+    triples: np.ndarray
 
     def __len__(self) -> int:
         return len(self.triples)
+
+
+# the most mining plans kept at once. An epoch's batches repeat a few key
+# patterns, and every epoch repeats the same sequence of them: 36-39 on
+# the train-20k input's 14k training rows, 82-87 on 56k-560k rows of the
+# same 16-key mix, 4 on the demo's
+_PLANS = 128
+_NONE = np.zeros(0, dtype=np.int64)
+_NO_TRIPLES = _NONE.reshape(3, 0)
+_NONE.flags.writeable = _NO_TRIPLES.flags.writeable = False
+
+
+class _MiningPlan(NamedTuple):
+    """Everything mine_triplets needs but its draws, for one batch's codes
+    and cap. The capped keys' (m, cap) draws stack, in strata order, into
+    one (M, cap) grid, over which these (M, 1) columns broadcast: anchor
+    (whose flat form also lists the positives), n_neg (the key's negative
+    count, a pair number's divisor), first (where the key starts in
+    anchor), own (the anchor's place there, skipped) and neg_base (where
+    the key starts in negatives, the capped keys' negatives key after
+    key). They are views of one read-only buffer of at most (K + 4) * B
+    ints for K keys in a batch of B. fixed holds the uncapped keys' (3, F)
+    triples, which draw nothing; spans lists the output's runs in strata
+    order as (from fixed, start, stop), and is empty when fixed is."""
+
+    draws: tuple[tuple[int, int], ...]  # (count, m) per capped key
+    anchor: np.ndarray
+    n_neg: np.ndarray
+    first: np.ndarray
+    neg_base: np.ndarray
+    own: np.ndarray
+    negatives: np.ndarray
+    fixed: np.ndarray
+    spans: tuple[tuple[bool, int, int], ...]
+
+
+def _all_pairs(codes: np.ndarray, code: int, members: np.ndarray) -> np.ndarray:
+    """An uncapped key's (3, m * count) triples: every pair per anchor,
+    positive-major, the anchor skipped."""
+    m, neg = members.size, np.flatnonzero(codes != code)
+    q, r = np.divmod(np.arange((m - 1) * neg.size), neg.size)
+    return np.stack(np.broadcast_arrays(
+        members[:, None], members[q + (q >= np.arange(m)[:, None])], neg[r])).reshape(3, -1)
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _mining_plan(code_bytes: bytes, cap: int) -> _MiningPlan:
+    """The plan for a batch whose codes are the int64 bytes code_bytes."""
+    codes = np.frombuffer(code_bytes, dtype=np.int64)
+    b = codes.size
+    draws, capped, anchors, fixed, spans = [], [], [], [], []
+    columns, total, n_negs = ([], [], []), 0, 0  # n_neg, first, neg_base per capped key
+    done = [0, 0]  # output columns so far from the grid and from fixed
+    for code, members in strata(codes):
+        m = members.size
+        count = (m - 1) * (b - m)
+        if count > cap:
+            draws.append((count, m))
+            capped.append(code)
+            anchors.append(members)
+            for column, value in zip(columns, (b - m, total, n_negs)):
+                column.append(value)
+            total, n_negs = total + m, n_negs + b - m
+        elif count:
+            fixed.append(_all_pairs(codes, code, members))
+        if count:
+            uncapped, n = count <= cap, m * min(count, cap)
+            spans.append((uncapped, done[uncapped], done[uncapped] + n))
+            done[uncapped] += n
+    per_anchor = np.repeat(columns, [m for _, m in draws], axis=1) if draws else _NONE
+    buf = np.concatenate((*anchors, per_anchor, np.arange(total),
+                          np.nonzero(np.not_equal.outer(capped, codes))[1]), axis=None)
+    fixed = np.concatenate(fixed, axis=1) if fixed else _NO_TRIPLES
+    buf.flags.writeable = fixed.flags.writeable = False
+    return _MiningPlan(tuple(draws), *buf[:5 * total].reshape(5, total, 1),
+                       buf[5 * total:], fixed, tuple(spans) if fixed.size else ())
 
 
 def mine_triplets(
@@ -81,29 +163,31 @@ def mine_triplets(
     Triples are anchor-major (keys in strata order, anchors in row order),
     pairs are numbered positive-major with the anchor skipped, and each
     capped key takes one integers(0, count, (m, cap)) draw, in that order.
-    The (N, 3) output is sized from the strata before any draw, m * width
-    rows per key with width = min((m - 1) * (B - m), cap), and each key
-    writes its (m, width, 3) block in place."""
+
+    Everything but the draws depends only on the batch's codes and cap, so it
+    is planned once per (codes, cap) and reused (_mining_plan keeps the last
+    _PLANS plans). Per call: the stream's generator, the draws stacked
+    into one (M, cap) grid, one divmod of it into positive rank and
+    negative, the skip-self add and two gathers into a fresh contiguous
+    (3, N) array, returned as its (N, 3) transpose."""
     codes = CellKeys.of(batch_au_keys).codes
-    groups = [(code, members, min((members.size - 1) * (codes.size - members.size), cap))
-              for code, members in strata(codes)]
-    out = np.empty((sum(g.size * w for _, g, w in groups), 3), dtype=np.int64)
+    plan = _mining_plan(codes.astype(np.int64, copy=False).tobytes(), cap)
     gen = rng.generator()  # keys are visited in a fixed order
-    start = 0
-    for code, members, width in groups:
-        if width == 0:
-            continue
-        negatives = np.flatnonzero(codes != code)
-        m, count = members.size, (members.size - 1) * negatives.size
-        flat = np.arange(count) if count <= cap else gen.integers(0, count, (m, cap))
-        q, r = np.divmod(flat, negatives.size)
-        block = out[start:start + m * width].reshape(m, width, 3)
-        block[..., 0] = members[:, None]
-        # skip the anchor: positives at or past its rank shift
-        block[..., 1] = members[q + (q >= np.arange(m)[:, None])]
-        block[..., 2] = negatives[r]
-        start += m * width
-    return TripletSet(out)
+    out = np.empty((3, plan.anchor.size, cap), dtype=np.int64)
+    if plan.draws:
+        flat = np.concatenate([gen.integers(0, count, (m, cap)) for count, m in plan.draws])
+        q, r = np.divmod(flat, plan.n_neg, out=(flat, out[1]))  # r lent out[1] a while
+        r += plan.neg_base
+        np.take(plan.negatives, r, out=out[2], mode="clip")  # every index is in range
+        q += plan.first
+        q += q >= plan.own  # positives at or past the anchor's rank shift
+        np.take(plan.anchor, q, out=out[1], mode="clip")
+        out[0] = plan.anchor
+    out = out.reshape(3, -1)
+    if plan.spans:  # interleave the uncapped keys' triples
+        out = np.concatenate([(plan.fixed if fixed else out)[:, lo:hi]
+                              for fixed, lo, hi in plan.spans], axis=1)
+    return TripletSet(out.T)
 
 
 def triplet_loss(
@@ -115,33 +199,41 @@ def triplet_loss(
     """Hinge on squared-distance gaps, summed over mined triples (or
     averaged with reduction='mean'); returns the loss and its gradient
     with respect to the embeddings. Squared distances come from one Gram
-    matrix, |a|^2 + |b|^2 - 2 a.b, read at the flat indices a*B+p and
-    a*B+n. The gradient is 2 * scale * C @ emb, where each active triple
-    (a, p, n) adds +1 at C[a, n], C[p, p], C[n, a] and -1 at C[a, p],
-    C[p, a], C[n, n]. C is built as D + D^T - diag(colsum D) from the
-    signed count matrix D (+1 at D[a, n], -1 at D[a, p]): the same +-1
-    terms regrouped, and every entry an integer, so C is exact."""
+    matrix, |a|^2 + |b|^2 - 2 a.b, read at one 2N flat-index array: a*B+n
+    for every triple, then a*B+p. The gradient is 2 * scale * C @ emb,
+    where each active triple (a, p, n) adds +1 at C[a, n], C[p, p], C[n, a]
+    and -1 at C[a, p], C[p, a], C[n, n]. C is built as D + D^T -
+    diag(colsum D) from the signed count matrix D (+1 at D[a, n], -1 at
+    D[a, p]), one bincount over the same flat indices with the weights
+    written over the gathered distances: the same +-1 terms regrouped, and
+    every entry an integer, so C is exact."""
     emb = np.asarray(embeddings, dtype=float)
     t = triplets.triples
     if t.size == 0:
         return 0.0, np.zeros_like(emb)
-    b = emb.shape[0]
+    b, n = emb.shape[0], len(t)
     if t.min() < 0 or t.max() >= b:
         raise IndexOutOfRange("triplet index outside the batch")
     sq = (emb * emb).sum(axis=1)
     dist = sq[:, None] + sq[None]
     dist -= 2.0 * (emb @ emb.T)
-    pos, neg = t[:, 0] * b + t[:, 1], t[:, 0] * b + t[:, 2]
-    hinge = np.take(dist, pos) - np.take(dist, neg) + margin
+    flat = np.empty(2 * n, dtype=np.int64)
+    np.multiply(t[:, 0], b, out=flat[:n])
+    np.add(flat[:n], t[:, 1], out=flat[n:])
+    flat[:n] += t[:, 2]
+    gathered = np.take(dist, flat)
+    hinge = gathered[n:] - gathered[:n]
+    hinge += margin
     active = hinge > 0
     loss = float(hinge[active].sum())
     scale = 1.0
     if reduction == "mean":
-        scale = 1.0 / len(t)
+        scale = 1.0 / n
         loss *= scale
-    weight = active.astype(float)
-    signed = np.bincount(np.concatenate((neg, pos)), np.concatenate((weight, -weight)),
-                         minlength=b * b).reshape(b, b)
+    weight = gathered  # +active at a*B+n, -active at a*B+p
+    weight[:n] = active
+    np.negative(weight[:n], out=weight[n:])
+    signed = np.bincount(flat, weight, minlength=b * b).reshape(b, b)
     coef = signed + signed.T  # then minus diag(colsum D), in place
     coef.flat[::b + 1] -= signed.sum(axis=0)
     return loss, (2.0 * scale) * (coef @ emb)
@@ -241,7 +333,10 @@ def init_params(
 def stratified_order(keys: Sequence[AuCellKey], rng: Rng) -> np.ndarray:
     """AU-key-stratified shuffle: shuffle within each key, then interleave
     the keys round-robin so every batch sees multiple keys whenever the
-    data has them."""
+    data has them. The shuffles move rows within a key's pool, but the
+    pools' sizes alone fix the interleave, so keys.codes[order] is the
+    same in every epoch, and so is each batch's key pattern: the plans
+    mine_triplets caches are reused across batches and epochs."""
     keys = CellKeys.of(keys)
     pools = [np.zeros(0, dtype=np.int64)]
     rounds = [np.zeros(0, dtype=np.int64)]

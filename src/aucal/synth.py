@@ -231,13 +231,22 @@ def _region(config: SynthConfig, au: str, bit: int) -> tuple[float, float]:
     return (t, AU_MAX) if bit else (AU_MIN, t)
 
 
+def _normal_mass(mean: float, std: float, lo: float, hi: float) -> float:
+    """P(lo <= X <= hi) for X ~ N(mean, std). Where [0, 5] lies above the
+    mean, both CDFs near 1 would round to it, so the mass is read from the
+    mirrored side, ndtr((mean - lo) / std) - ndtr((mean - hi) / std),
+    exactly when _truncnorm_draw mirrors its draw."""
+    if (AU_MIN - mean) / std > 0:
+        return _ndtr((mean - lo) / std) - _ndtr((mean - hi) / std)
+    return _ndtr((hi - mean) / std) - _ndtr((lo - mean) / std)
+
+
 def _truncnorm_norm(mean: float, std: float) -> float:
-    return _ndtr((AU_MAX - mean) / std) - _ndtr((AU_MIN - mean) / std)
+    return _normal_mass(mean, std, AU_MIN, AU_MAX)
 
 
 def _region_prob(mean: float, std: float, lo: float, hi: float) -> float:
-    z = _truncnorm_norm(mean, std)
-    return (_ndtr((hi - mean) / std) - _ndtr((lo - mean) / std)) / z
+    return _normal_mass(mean, std, lo, hi) / _truncnorm_norm(mean, std)
 
 
 def expected_cell_proportions(

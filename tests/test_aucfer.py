@@ -17,7 +17,7 @@ from aucal.aucfer import (
     train_cross_entropy_only,
     triplet_loss,
 )
-from aucal.data import AuCellKey, binarize
+from aucal.data import AuCellKey, CellKeys, binarize
 from aucal.errors import (
     DimensionMismatch,
     EmptyTrainSplit,
@@ -234,6 +234,20 @@ def test_stratified_order_deterministic():
     o1 = stratified_order(keys, Rng(5, ("s",)))
     o2 = stratified_order(keys, Rng(5, ("s",)))
     np.testing.assert_array_equal(o1, o2)
+
+
+def test_stratified_order_repeats_its_key_sequence_every_epoch():
+    """The order within each key moves from epoch to epoch, but the pools'
+    sizes do not, so the round-robin's key-code sequence, and with it each
+    batch's key pattern, is the same in every epoch."""
+    gen = np.random.default_rng(3)
+    codes = np.repeat(np.arange(16), gen.integers(5, 300, 16))
+    keys = CellKeys(("AU1", "AU2", "AU4", "AU5"), gen.permutation(codes))
+    orders = [stratified_order(keys, Rng(3, ("train", f"shuffle-{epoch}")))
+              for epoch in range(4)]
+    assert not np.array_equal(orders[0], orders[1])
+    for order in orders[1:]:
+        np.testing.assert_array_equal(keys.codes[order], keys.codes[orders[0]])
 
 
 def _feature_dataset(seed=0, n=4000, leak=0):

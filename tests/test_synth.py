@@ -141,6 +141,32 @@ def test_a_lower_bound_far_above_the_mean_draws_from_the_mirrored_tail():
     assert ((x >= 0.0) & (x <= 5.0)).all() and np.unique(x).size == x.size
 
 
+@pytest.mark.parametrize("mean", [-8.5, -9.0, -30.0])
+def test_a_mean_far_below_0_validates_from_the_mirrored_mass(mean):
+    """validate read the mass in [0, 5] as ndtr(5 - mean) - ndtr(-mean),
+    two values that round to 1, and refused these models as putting no
+    intensity there; the mirrored side keeps the mass, as the draw does.
+    With latent_positive_prob 0 every row draws from the far-below model,
+    and the annotator weighs AU6."""
+    cfg = replace(biased_config(seed=3, n=10_000), latent_positive_prob=0.0,
+                  au_models={"AU6": AuModel(mean, 3.0, 1.0, 1.0)},
+                  annotator_weights={"AU6": 0.9}, thresholds={"AU6": 2.2})
+    cfg.validate()
+    x = generate(cfg).dataset.intensity[:, 0]
+    assert ((x >= 0.0) & (x <= 5.0)).all() and np.unique(x).size == x.size
+    props = expected_cell_proportions(cfg, AuCellKey((("AU6", 0),)))
+    assert all(np.isfinite(p) and 0.0 < p < 1.0 for p in props.values())
+
+
+def test_the_mirrored_mass_matches_scipy():
+    """At mean -8 the unmirrored difference read 6.66e-16 (true 6.2e-16)."""
+    from aucal.synth import _truncnorm_norm
+
+    for mean in (-8.0, -9.0, -30.0, -0.5, 1.0):
+        want = ndtr(mean) - ndtr(mean - 5.0) if mean < 0 else ndtr(5.0 - mean) - ndtr(-mean)
+        assert _truncnorm_norm(mean, 1.0) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 @st.composite
 def tail_models(draw):
     """(mean, std): mean in [-30, 10], std in [0.5, 2], [0, 5] within 30 sd."""

@@ -4,7 +4,9 @@
 integers(0, count, (m, cap)) draw and anchor i takes row i of it. The
 batch-level `mine_triplets` must return the same triples in the same
 order from the same random stream: the trained models, and so the golden
-digests, depend on every draw.
+digests, depend on every draw. It plans everything but the draws once per
+batch key pattern and cap, so the same must hold on every later visit of
+a pattern, whatever the caller did to the triples it was given.
 
 `triplet_loss` reads its hinges from one Gram-form squared-distance
 matrix, |a|^2 + |b|^2 - 2 a.b, and takes its gradient as
@@ -32,6 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aucal import aucfer
 from aucal.aucfer import TripletSet, mine_triplets, triplet_loss
 from aucal.data import AuCellKey, CellKeys, strata
 from aucal.rng import Rng
@@ -166,6 +169,44 @@ def test_batch_level_triplet_term_matches_reference(batch, cap, reduction,
     # repeated rows give exact distance ties, so some hinges sit on the margin
     emb[gen.integers(0, len(keys), len(keys) // 4)] = emb[0]
     _check_loss(emb, got, margin, reduction)
+
+
+@st.composite
+def pattern_visits(draw):
+    """1 to 4 batch key patterns, each 2 to 40 rows of 1 to 16 codes, and
+    2 to 12 visits to them, each with its own cap and seed: patterns come
+    back, interleave and repeat in a row."""
+    patterns = draw(st.lists(st.lists(st.integers(0, 15), min_size=2, max_size=40),
+                             min_size=1, max_size=4))
+    visits = draw(st.lists(st.tuples(st.integers(0, len(patterns) - 1),
+                                     st.sampled_from(CAPS), st.integers(0, 2**32 - 1)),
+                           min_size=2, max_size=12))
+    return [[_key(code) for code in pattern] for pattern in patterns], visits
+
+
+@settings(max_examples=60, deadline=None)
+@given(pattern_visits())
+def test_planned_mining_matches_reference_on_every_visit(case):
+    """A plan is built on a pattern's first visit and reused on the later
+    ones. Every visit must still give the reference's triples, however the
+    caller has since written over the triples it was given, and the plan's
+    arrays must refuse writes."""
+    patterns, visits = case
+    aucfer._mining_plan.cache_clear()
+    for which, cap, seed in visits:
+        keys = patterns[which]
+        got = mine_triplets(keys, cap, Rng(seed, ("mine",)))
+        want = _reference_mine(keys, cap, Rng(seed, ("mine",)))
+        assert np.array_equal(got.triples, want.triples)
+        assert got.triples.T.flags.c_contiguous
+        got.triples[...] = -1
+        plan = aucfer._mining_plan(CellKeys.of(keys).codes.tobytes(), cap)
+        for array in plan:
+            if isinstance(array, np.ndarray):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array.flat[:1] = 0
+    assert aucfer._mining_plan.cache_info().currsize <= aucfer._PLANS
 
 
 def test_single_key_and_singleton_batches_mine_nothing():
