@@ -83,42 +83,32 @@ class TripletSet:
 # the train-20k input's 14k training rows, 82-87 on 56k-560k rows of the
 # same 16-key mix, 4 on the demo's
 _PLANS = 128
-_NONE = np.zeros(0, dtype=np.int64)
-_NO_TRIPLES = _NONE.reshape(3, 0)
-_NONE.flags.writeable = _NO_TRIPLES.flags.writeable = False
 
 
 class _MiningPlan(NamedTuple):
     """Everything mine_triplets needs but its draws, for one batch's codes
-    and cap. The capped keys' (m, cap) draws stack, in strata order, into
-    one (M, cap) grid, over which these (M, 1) columns broadcast: anchor
-    (whose flat form also lists the positives), n_neg (the key's negative
-    count, a pair number's divisor), first (where the key starts in
-    anchor), own (the anchor's place there, skipped) and neg_base (where
-    the key starts in negatives, the capped keys' negatives key after
-    key). They are views of one read-only buffer of at most (K + 4) * B
-    ints for K keys in a batch of B. fixed holds the uncapped keys' (3, F)
-    triples, which draw nothing; spans lists the output's runs in strata
-    order as (from fixed, start, stop), and is empty when fixed is."""
+    and cap. Each key with a pair is one block, in strata order, of an
+    (M, W) grid of pair numbers, W = min(cap, the largest pair count): a
+    capped key's block is its integers(0, count, (m, cap)) draw, listed in
+    blocks as (count, (m, cap)); an uncapped key's is a read-only view of
+    the constant rows 0..W-1. Over the grid these (M, 1) columns
+    broadcast: anchor (whose flat form also lists the positives), n_neg
+    (the key's negative count, a pair number's divisor), first (where the
+    key starts in anchor), own (the anchor's place there, skipped) and
+    neg_base (where the key starts in negatives, key after key). They are
+    views of one read-only buffer of at most (K + 4) * B ints for K keys
+    in a batch of B. keep is None unless an uncapped key has fewer than W
+    pairs; then it is the read-only flat mask of the grid's cells below
+    their key's count."""
 
-    draws: tuple[tuple[int, int], ...]  # (count, m) per capped key
+    blocks: tuple[tuple[int, tuple[int, int]] | np.ndarray, ...]
     anchor: np.ndarray
     n_neg: np.ndarray
     first: np.ndarray
     neg_base: np.ndarray
     own: np.ndarray
     negatives: np.ndarray
-    fixed: np.ndarray
-    spans: tuple[tuple[bool, int, int], ...]
-
-
-def _all_pairs(codes: np.ndarray, code: int, members: np.ndarray) -> np.ndarray:
-    """An uncapped key's (3, m * count) triples: every pair per anchor,
-    positive-major, the anchor skipped."""
-    m, neg = members.size, np.flatnonzero(codes != code)
-    q, r = np.divmod(np.arange((m - 1) * neg.size), neg.size)
-    return np.stack(np.broadcast_arrays(
-        members[:, None], members[q + (q >= np.arange(m)[:, None])], neg[r])).reshape(3, -1)
+    keep: np.ndarray | None
 
 
 @functools.lru_cache(maxsize=_PLANS)
@@ -126,32 +116,23 @@ def _mining_plan(code_bytes: bytes, cap: int) -> _MiningPlan:
     """The plan for a batch whose codes are the int64 bytes code_bytes."""
     codes = np.frombuffer(code_bytes, dtype=np.int64)
     b = codes.size
-    draws, capped, anchors, fixed, spans = [], [], [], [], []
-    columns, total, n_negs = ([], [], []), 0, 0  # n_neg, first, neg_base per capped key
-    done = [0, 0]  # output columns so far from the grid and from fixed
-    for code, members in strata(codes):
-        m = members.size
-        count = (m - 1) * (b - m)
-        if count > cap:
-            draws.append((count, m))
-            capped.append(code)
-            anchors.append(members)
-            for column, value in zip(columns, (b - m, total, n_negs)):
-                column.append(value)
-            total, n_negs = total + m, n_negs + b - m
-        elif count:
-            fixed.append(_all_pairs(codes, code, members))
-        if count:
-            uncapped, n = count <= cap, m * min(count, cap)
-            spans.append((uncapped, done[uncapped], done[uncapped] + n))
-            done[uncapped] += n
-    per_anchor = np.repeat(columns, [m for _, m in draws], axis=1) if draws else _NONE
-    buf = np.concatenate((*anchors, per_anchor, np.arange(total),
-                          np.nonzero(np.not_equal.outer(capped, codes))[1]), axis=None)
-    fixed = np.concatenate(fixed, axis=1) if fixed else _NO_TRIPLES
-    buf.flags.writeable = fixed.flags.writeable = False
-    return _MiningPlan(tuple(draws), *buf[:5 * total].reshape(5, total, 1),
-                       buf[5 * total:], fixed, tuple(spans) if fixed.size else ())
+    paired = [(code, members) for code, members in strata(codes) if 1 < members.size < b]
+    m = np.array([members.size for _, members in paired], dtype=np.int64)
+    count = (m - 1) * (b - m)  # pairs per anchor
+    width = min(cap, int(count.max(initial=0)))
+    rows = np.broadcast_to(np.arange(width), (b, width))  # read-only
+    blocks = [(c, (k, cap)) if c > cap else rows[:k]
+              for c, k in zip(count.tolist(), m.tolist())] or [rows[:0]]  # grid (0, 0)
+    n_neg = b - m
+    per_anchor = np.repeat([n_neg, np.cumsum(m) - m, np.cumsum(n_neg) - n_neg], m, axis=1)
+    total = int(m.sum())
+    negatives = np.nonzero(np.not_equal.outer([code for code, _ in paired], codes))[1]
+    buf = np.concatenate((*[members for _, members in paired], per_anchor, np.arange(total),
+                          negatives), axis=None)
+    keep = np.repeat(np.arange(width) < count[:, None], m, axis=0).ravel()
+    buf.flags.writeable = keep.flags.writeable = False
+    return _MiningPlan(tuple(blocks), *buf[:5 * total].reshape(5, total, 1),
+                       buf[5 * total:], None if keep.all() else keep)
 
 
 def mine_triplets(
@@ -166,27 +147,28 @@ def mine_triplets(
 
     Everything but the draws depends only on the batch's codes and cap, so it
     is planned once per (codes, cap) and reused (_mining_plan keeps the last
-    _PLANS plans). Per call: the stream's generator, the draws stacked
-    into one (M, cap) grid, one divmod of it into positive rank and
-    negative, the skip-self add and two gathers into a fresh contiguous
-    (3, N) array, returned as its (N, 3) transpose."""
+    _PLANS plans). Per call: the stream's generator, the capped keys' draws
+    and the uncapped keys' constant rows stacked into one (M, W) grid of
+    pair numbers, one divmod of it into positive rank and negative, the
+    skip-self add and two gathers into a fresh contiguous (3, M * W)
+    array, the cells past an uncapped key's count dropped when there are
+    any, returned as its (N, 3) transpose."""
     codes = CellKeys.of(batch_au_keys).codes
     plan = _mining_plan(codes.astype(np.int64, copy=False).tobytes(), cap)
     gen = rng.generator()  # keys are visited in a fixed order
-    out = np.empty((3, plan.anchor.size, cap), dtype=np.int64)
-    if plan.draws:
-        flat = np.concatenate([gen.integers(0, count, (m, cap)) for count, m in plan.draws])
-        q, r = np.divmod(flat, plan.n_neg, out=(flat, out[1]))  # r lent out[1] a while
-        r += plan.neg_base
-        np.take(plan.negatives, r, out=out[2], mode="clip")  # every index is in range
-        q += plan.first
-        q += q >= plan.own  # positives at or past the anchor's rank shift
-        np.take(plan.anchor, q, out=out[1], mode="clip")
-        out[0] = plan.anchor
+    grid = np.concatenate([gen.integers(0, *block) if isinstance(block, tuple) else block
+                           for block in plan.blocks])
+    out = np.empty((3, *grid.shape), dtype=np.int64)
+    q, r = np.divmod(grid, plan.n_neg, out=(grid, out[1]))  # r lent out[1] a while
+    r += plan.neg_base
+    np.take(plan.negatives, r, out=out[2], mode="clip")  # every index is in range
+    q += plan.first
+    q += q >= plan.own  # positives at or past the anchor's rank shift
+    np.take(plan.anchor, q, out=out[1], mode="clip")  # a dropped cell's may not be
+    out[0] = plan.anchor
     out = out.reshape(3, -1)
-    if plan.spans:  # interleave the uncapped keys' triples
-        out = np.concatenate([(plan.fixed if fixed else out)[:, lo:hi]
-                              for fixed, lo, hi in plan.spans], axis=1)
+    if plan.keep is not None:  # compress, not out[:, keep]: the result stays contiguous
+        out = out.compress(plan.keep, axis=1)
     return TripletSet(out.T)
 
 

@@ -1,9 +1,9 @@
 """AU binarization threshold calibration and recognition-parity checks.
 
-Thresholds are picked from the empirical candidate grid (midpoints of
+Thresholds are picked from metrics.threshold_grid (midpoints of
 consecutive distinct intensities plus one candidate below the minimum and
-one above the maximum), maximizing the accuracy of the strict-comparison
-predictor 1[intensity > t].
+one above the maximum, those two kept in [AU_MIN, AU_MAX]), maximizing
+the accuracy of the strict-comparison predictor 1[intensity > t].
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import AU_MAX, AU_MIN
 from .errors import EmptyInput, LengthMismatch
-from .metrics import best_threshold, f1_score
+from .metrics import best_threshold, f1_score, threshold_grid
 from .stats import two_proportion_test
 
 
@@ -42,14 +42,6 @@ class ParityCheck:
     pairwise_p: Mapping[tuple[str, str], float] = field(default_factory=dict)
 
 
-def _candidate_grid(values: np.ndarray) -> np.ndarray:
-    distinct = np.unique(values)
-    mids = (distinct[:-1] + distinct[1:]) / 2.0
-    lo = max(distinct[0] - 0.5, AU_MIN)
-    hi = min(distinct[-1] + 0.5, AU_MAX)
-    return np.unique(np.concatenate([[lo], mids, [hi]]))
-
-
 def calibrate_global(
     intensities: Sequence[float], truth_presence: Sequence[int]
 ) -> tuple[float, float]:
@@ -61,7 +53,7 @@ def calibrate_global(
         raise LengthMismatch(f"{x.size} intensities vs {y.size} truths")
     if x.size == 0:
         raise EmptyInput("no samples")
-    return best_threshold(x, y, _candidate_grid(x))
+    return best_threshold(x, y, threshold_grid(x, (AU_MIN, AU_MAX)))
 
 
 def accuracy_parity_check(

@@ -56,8 +56,8 @@ def cv_discrimination(
 def select_threshold(
     scores: Sequence[float], labels: Sequence[int]
 ) -> tuple[float, float]:
-    """Accuracy-maximizing threshold for 1[score > t] over the score
-    midpoint grid; ties broken toward the smallest threshold."""
+    """Accuracy-maximizing threshold for 1[score > t] over the scores'
+    threshold_grid; ties broken toward the smallest threshold."""
     s = np.asarray(scores, dtype=float)
     y = np.asarray(labels, dtype=int)
     if s.size != y.size:
@@ -66,10 +66,17 @@ def select_threshold(
         raise EmptyInput("no scores to select a threshold for")
     if y.min() == y.max():
         raise SingleClass("need both classes to select a threshold")
-    distinct = np.unique(s)
+    return best_threshold(s, y, threshold_grid(s))
+
+
+def threshold_grid(values: np.ndarray, clamp=(-np.inf, np.inf)) -> np.ndarray:
+    """The candidate thresholds of a scan, sorted and distinct: the
+    midpoints of consecutive distinct values, one point 0.5 below the
+    smallest and one 0.5 above the largest, those two kept inside clamp."""
+    distinct = np.unique(values)
     mids = (distinct[:-1] + distinct[1:]) / 2.0
-    grid = np.concatenate([[distinct[0] - 0.5], mids, [distinct[-1] + 0.5]])
-    return best_threshold(s, y, grid)
+    lo, hi = max(distinct[0] - 0.5, clamp[0]), min(distinct[-1] + 0.5, clamp[1])
+    return np.unique(np.concatenate([[lo], mids, [hi]]))
 
 
 def best_threshold(

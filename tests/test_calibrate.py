@@ -17,13 +17,13 @@ from hypothesis import strategies as st
 from aucal.calibrate import (
     CalibrationResult,
     ParityCheck,
-    _candidate_grid,
     accuracy_parity_check,
     calibrate_global,
     calibrate_per_group,
 )
 from aucal.errors import EmptyInput, LengthMismatch
-from aucal.metrics import f1_score, select_threshold
+from aucal.data import AU_MAX, AU_MIN
+from aucal.metrics import f1_score, select_threshold, threshold_grid
 from aucal.rng import Rng
 from aucal.stats import two_proportion_test
 
@@ -210,7 +210,7 @@ def _reference_select_threshold(scores, labels):
 
 
 def _reference_calibrate_global(x, y):
-    return _reference_best_threshold(x, y, _candidate_grid(x))
+    return _reference_best_threshold(x, y, threshold_grid(x, (AU_MIN, AU_MAX)))
 
 
 def _reference_parity_check(pred, truth, grp):

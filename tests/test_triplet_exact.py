@@ -4,9 +4,12 @@
 integers(0, count, (m, cap)) draw and anchor i takes row i of it. The
 batch-level `mine_triplets` must return the same triples in the same
 order from the same random stream: the trained models, and so the golden
-digests, depend on every draw. It plans everything but the draws once per
-batch key pattern and cap, so the same must hold on every later visit of
-a pattern, whatever the caller did to the triples it was given.
+digests, depend on every draw. It numbers every key's pairs in one grid,
+a capped key's draw beside an uncapped key's constant rows 0..W-1 cut at
+its pair count, so batches that mix the two are checked as well. It plans
+everything but the draws once per batch key pattern and cap, so the same
+must hold on every later visit of a pattern, whatever the caller did to
+the triples it was given.
 
 `triplet_loss` reads its hinges from one Gram-form squared-distance
 matrix, |a|^2 + |b|^2 - 2 a.b, and takes its gradient as
@@ -31,7 +34,7 @@ computations), with k the largest number of terms one entry can sum.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aucal import aucfer
@@ -39,7 +42,7 @@ from aucal.aucfer import TripletSet, mine_triplets, triplet_loss
 from aucal.data import AuCellKey, CellKeys, strata
 from aucal.rng import Rng
 
-AUS = ("AU1", "AU4", "AU6", "AU12")
+AUS = ("AU1", "AU12", "AU15", "AU4", "AU6")  # in AuCellKey order, sorted as strings
 CAPS = (1, 7, 64, 10**9)
 EPS = np.finfo(float).eps
 
@@ -133,7 +136,8 @@ def _check_loss(emb, triplets, margin, reduction):
 
 
 def _key(code):
-    return AuCellKey(tuple((au, (code >> i) & 1) for i, au in enumerate(AUS)))
+    """The key whose packed code is code, so strata visit keys in code order."""
+    return AuCellKey(tuple((au, (code >> (len(AUS) - 1 - i)) & 1) for i, au in enumerate(AUS)))
 
 
 @st.composite
@@ -186,11 +190,14 @@ def pattern_visits(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(pattern_visits())
+# at cap 10**9 both keys keep every pair, 3 and 4 per anchor, so the plan
+# holds two constant blocks and a mask; at cap 1 both draw
+@example(([[_key(0)] * 2 + [_key(1)] * 3], [(0, 10**9, 1), (0, 1, 2), (0, 10**9, 3)]))
 def test_planned_mining_matches_reference_on_every_visit(case):
     """A plan is built on a pattern's first visit and reused on the later
     ones. Every visit must still give the reference's triples, however the
     caller has since written over the triples it was given, and the plan's
-    arrays must refuse writes."""
+    arrays, those in its tuples too, must refuse writes."""
     patterns, visits = case
     aucfer._mining_plan.cache_clear()
     for which, cap, seed in visits:
@@ -201,7 +208,8 @@ def test_planned_mining_matches_reference_on_every_visit(case):
         assert got.triples.T.flags.c_contiguous
         got.triples[...] = -1
         plan = aucfer._mining_plan(CellKeys.of(keys).codes.tobytes(), cap)
-        for array in plan:
+        for array in (item for field in plan
+                      for item in (field if isinstance(field, tuple) else (field,))):
             if isinstance(array, np.ndarray):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
@@ -247,13 +255,22 @@ def test_hand_built_triplet_sets_match_reference(name, reduction):
         _check_loss(emb, TripletSet(t), margin, reduction)
 
 
+# batch codes by key count, mined at the trainer's cap of 64: its default
+# 128-row batch; 50 rows of 20 keys alternating 3 and 2 rows, where a
+# 3-row key has 2 * 47 = 94 pairs per anchor and is capped, and a 2-row key
+# has 1 * 48 = 48 and is not, so capped and uncapped blocks alternate; and
+# 2 rows of one key beside 64 of another, whose 1 * 64 pairs per anchor are
+# exactly the cap, so it keeps them all and draws nothing
+BATCH_CODES = {2: np.repeat([0, 1], (2, 64)), 4: np.arange(128) % 4,
+               16: np.arange(128) % 16, 20: np.repeat(np.arange(20), (3, 2) * 10)}
+
+
 @pytest.mark.parametrize("reduction", ("sum", "mean"))
-@pytest.mark.parametrize("n_keys", (4, 16))
+@pytest.mark.parametrize("n_keys", sorted(BATCH_CODES))
 def test_benchmark_shaped_batches_match_reference(n_keys, reduction):
-    # the trainer's default batch: 128 rows, cap 64, 16-wide relu embeddings
     gen = np.random.default_rng(n_keys)
-    keys = [_key(code) for code in gen.permutation(np.arange(128) % n_keys)]
+    keys = [_key(code) for code in gen.permutation(BATCH_CODES[n_keys])]
     got = mine_triplets(keys, 64, Rng(n_keys, ("mine",)))
     assert np.array_equal(got.triples, _reference_mine(keys, 64, Rng(n_keys, ("mine",))).triples)
-    emb = np.maximum(gen.normal(0.0, 1.0, (128, 16)), 0.0)
+    emb = np.maximum(gen.normal(0.0, 1.0, (len(keys), 16)), 0.0)  # 16-wide, relu
     _check_loss(emb, got, 0.2, reduction)
