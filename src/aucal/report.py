@@ -1,21 +1,21 @@
-"""Canonical report emission: byte-stable JSON (sorted keys, 17
-significant digit floats) and Table-shaped CSV exports."""
+"""Canonical report emission: byte-stable JSON (sorted keys, 17 significant
+digit floats) and CSV tables, quoted as csv.writer quotes (data._csv_text)."""
 
 from __future__ import annotations
 
 import dataclasses
 import functools
 import hashlib
-import io
 import math
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import __version__
 from .audit import BiasReport, GroupCurve
+from .data import _csv_text
 from .errors import IoError
 from .metrics import RunSummary
 
@@ -110,57 +110,47 @@ def report_header(seed: int | None = None,
     return header
 
 
-def emit_json(report, path: str | Path, header: dict | None = None) -> None:
-    payload = {"header": header or report_header(), "report": report}
+def emit_json(report, path: str | Path, header: dict) -> None:
+    payload = {"header": header, "report": report}
     Path(path).write_text(canonical_json(payload) + "\n", encoding="utf-8")
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):  # numpy's float64 too
+        return _format_float(value)
+    return _csv_text(str(value))
+
+
+def _table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """One "\n"-ended line per row: None as "", a float by _format_float, any
+    other cell its str, quoted as csv.writer quotes it."""
+    return "".join(",".join(map(_csv_cell, row)) + "\n" for row in [header, *rows])
 
 
 def bias_report_csv(report: BiasReport) -> str:
     """One row per conditioning cell: condition, per-group proportions,
     delta, chi-square, p, status."""
-    buf = io.StringIO()
     levels = report.group_levels
-    cols = ["condition"]
-    cols += [f"n[{lvl}]" for lvl in levels]
-    cols += [f"proportion[{lvl}]" for lvl in levels]
-    cols += ["delta", "chi_square", "dof", "p_value", "status", "argmax_level"]
-    buf.write(",".join(cols) + "\n")
-    for cell in report.cells:
-        row = [cell.condition]
-        row += [str(cell.n_per_group.get(lvl, 0)) for lvl in levels]
-        row += [
-            _format_float(cell.proportion_per_group[lvl])
-            if lvl in cell.proportion_per_group else ""
-            for lvl in levels
-        ]
-        row.append(_format_float(cell.delta) if cell.delta is not None else "")
-        row.append(_format_float(cell.chi_square) if cell.chi_square is not None else "")
-        row.append(str(cell.dof) if cell.dof is not None else "")
-        row.append(_format_float(cell.p_value) if cell.p_value is not None else "")
-        row.append(cell.status)
-        row.append(cell.argmax_level or "")
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
+    header = ["condition", *(f"n[{lvl}]" for lvl in levels),
+              *(f"proportion[{lvl}]" for lvl in levels),
+              "delta", "chi_square", "dof", "p_value", "status", "argmax_level"]
+    return _table(header, (
+        [cell.condition, *(cell.n_per_group.get(lvl, 0) for lvl in levels),
+         *(cell.proportion_per_group.get(lvl) for lvl in levels),
+         cell.delta, cell.chi_square, cell.dof, cell.p_value, cell.status, cell.argmax_level]
+        for cell in report.cells))
 
 
 def curves_csv(curves: Sequence[GroupCurve]) -> str:
-    buf = io.StringIO()
-    buf.write("au_id,level,intensity,probability,std_error\n")
-    for curve in sorted(curves, key=lambda c: (c.au_id, c.level)):
-        for x, p, se in zip(curve.grid, curve.probabilities, curve.std_errors):
-            buf.write(
-                f"{curve.au_id},{curve.level},{_format_float(float(x))},"
-                f"{_format_float(float(p))},{_format_float(float(se))}\n"
-            )
-    return buf.getvalue()
+    return _table(["au_id", "level", "intensity", "probability", "std_error"], (
+        [curve.au_id, curve.level, x, p, se]
+        for curve in sorted(curves, key=lambda c: (c.au_id, c.level))
+        for x, p, se in zip(curve.grid, curve.probabilities, curve.std_errors)))
 
 
 def summaries_csv(summaries: Sequence[RunSummary]) -> str:
-    buf = io.StringIO()
-    buf.write("model,disc_abs_mean,disc_abs_std,accuracy_mean,accuracy_std,runs\n")
-    for s in summaries:
-        buf.write(
-            f"{s.name},{_format_float(s.mean_disc_abs)},{_format_float(s.std_disc_abs)},"
-            f"{_format_float(s.mean_accuracy)},{_format_float(s.std_accuracy)},{s.n_runs}\n"
-        )
-    return buf.getvalue()
+    header = ["model", "disc_abs_mean", "disc_abs_std", "accuracy_mean", "accuracy_std", "runs"]
+    return _table(header, ([s.name, s.mean_disc_abs, s.std_disc_abs,
+                            s.mean_accuracy, s.std_accuracy, s.n_runs] for s in summaries))

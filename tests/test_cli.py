@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 
@@ -78,8 +79,11 @@ def test_audit_happy_path(tmp_path, capsys):
     payload = json.loads(out.read_text(encoding="utf-8"))
     assert payload["report"]["group_attr"] == "gender"
     assert len(payload["report"]["cells"]) == 4
-    header = csv_out.read_text(encoding="utf-8").splitlines()[0]
-    assert "condition" in header
+    with csv_out.open(encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(header) == 11 and header[0] == "condition"
+    assert all(len(row) == len(header) for row in rows)
+    assert [row[0] for row in rows] == [c["condition"] for c in payload["report"]["cells"]]
     assert "audited 4 cells" in capsys.readouterr().out
 
 

@@ -11,7 +11,7 @@ from aucal.report import file_digest
 
 GOLDEN = {
     "audit_after.json": "0a6f2bcef080b446ae3b76bb86b417f5832cc8a10359255488aab2de6a9cfa79",
-    "audit_before.csv": "9a22ec8c0a58bb96f288d99a45195ee7afebc60629543f205d851dce9286059d",
+    "audit_before.csv": "8ee3ddc21deb1fba89e333ce5d161e770aee8ddead583de2f100f64c07b047fd",
     "audit_before.json": "c9f558b146417020330d73e095e6bde9369ccbeadffc2d48f7f343b5ec12bb7c",
     "data.csv": "7bb58609043886d356bcb4ceb09087c20822902f57a1fd834a495d042e96273c",
     "eval_aucfer.json": "def56e9c4ef3c0b765e95cf190fd3dde051f6242ede955208610dddefc833242",

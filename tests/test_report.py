@@ -2,9 +2,14 @@
 
 A list or tuple of one dataclass whose field values are all str (a flip
 log) is written from one row template; it must give the bytes the
-recursive encoder gives, which are json.dumps's with sorted keys."""
+recursive encoder gives, which are json.dumps's with sorted keys.
 
+The CSV tables quote their text cells as csv.writer does, so csv.reader
+gives back every row at the header's width, with its text and floats."""
+
+import csv
 import dataclasses
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -15,6 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aucal import report
+from aucal.audit import BiasReport, CellResult, GroupCurve
+from aucal.metrics import RunSummary
 from aucal.relabel import FlipEntry
 from aucal.report import canonical_json, file_digest, report_header
 
@@ -113,3 +120,55 @@ def test_other_lists_take_the_recursive_path_and_keep_their_bytes(items):
     assert not report._encode_rows(items, [])
     assert canonical_json(items) == _dumps([
         dataclasses.asdict(v) if dataclasses.is_dataclass(v) else v for v in items])
+
+
+# commas, quotes, CR, LF and spaces; csv.reader refuses NUL, and surrogates
+# do not encode
+CELL_TEXTS = st.one_of(
+    st.sampled_from(["F,x", 'M"']),
+    st.text(st.one_of(st.sampled_from([",", '"', "\r", "\n", " "]),
+                      st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")),
+            max_size=6))
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _read(text: str) -> list[list[str]]:
+    assert text.endswith("\n")
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=CELL_TEXTS, level=CELL_TEXTS, condition=CELL_TEXTS,
+       levels=st.lists(CELL_TEXTS, min_size=1, max_size=3, unique=True),
+       values=st.lists(FINITE, min_size=4, max_size=4))
+def test_tables_quote_text_cells_and_keep_their_width(name, level, condition, levels, values):
+    header, row = _read(report.summaries_csv([RunSummary(name, *values, n_runs=3)]))
+    assert len(header) == len(row) == 6
+    assert row[0] == name and list(map(float, row[1:5])) == values and row[5] == "3"
+
+    grid, probs, errors = np.array(values[:3]), np.array(values[1:]), np.array(values[::-1][:3])
+    header, *rows = _read(report.curves_csv([GroupCurve(level, "AU6", grid, probs, errors)]))
+    assert header == ["au_id", "level", "intensity", "probability", "std_error"]
+    assert [row[:2] for row in rows] == [["AU6", level]] * 3
+    assert [list(map(float, row[2:])) for row in rows] == np.c_[grid, probs, errors].tolist()
+
+    counts = {lvl: i + 1 for i, lvl in enumerate(levels)}
+    props = dict(zip(levels[1:], values))  # the first level has no proportion
+    tested = CellResult(condition, counts, counts, props, "tested", delta=values[0],
+                        chi_square=values[1], dof=1, p_value=values[2], argmax_level=levels[-1])
+    thin = CellResult(condition, counts, counts, {}, "insufficient_data")
+    bias = BiasReport("gender", tuple(levels), 1, ("AU6",), "joint", (tested, thin))
+    header, *rows = _read(report.bias_report_csv(bias))
+    assert header == ["condition", *(f"n[{lvl}]" for lvl in levels),
+                      *(f"proportion[{lvl}]" for lvl in levels),
+                      "delta", "chi_square", "dof", "p_value", "status", "argmax_level"]
+    assert all(len(row) == len(header) for row in rows) and len(rows) == 2
+    k = len(levels)
+    for row, cell in zip(rows, (tested, thin)):
+        assert row[0] == condition and row[1:1 + k] == [str(counts[lvl]) for lvl in levels]
+        assert [float(v) if v else None for v in row[1 + k:1 + 2 * k]] == [
+            cell.proportion_per_group.get(lvl) for lvl in levels]
+    delta, chi_square, dof, p_value, status, argmax_level = rows[0][-6:]
+    assert list(map(float, (delta, chi_square, p_value))) == values[:3]
+    assert [dof, status, argmax_level] == ["1", "tested", levels[-1]]
+    assert rows[1][-6:] == ["", "", "", "", "insufficient_data", ""]
