@@ -428,9 +428,6 @@ def predict(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Softmax probability of class 1, the positive class, plus the embedding."""
     x = np.asarray(features, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.shape[1] != params.W1.shape[0]:
         raise DimensionMismatch(
             f"features dim {x.shape[1]} != W1 rows {params.W1.shape[0]}"
@@ -445,6 +442,4 @@ def predict(
     if bad.any():
         raise InvalidModel(f"the score of feature row {int(bad.argmax())} is not finite "
                            "(the weights overflow)")
-    if single:
-        return scores[0], emb[0]
     return scores, emb

@@ -11,7 +11,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, au_sort_key
+from .data import AU_MAX, AU_MIN, Dataset, au_sort_key
 from .errors import InvalidConfig, Separation, SingularDesign
 from .stats import (
     InsufficientData,
@@ -19,6 +19,8 @@ from .stats import (
     sigmoid,
     table_from_counts,
 )
+
+CURVE_GRID = np.linspace(AU_MIN, AU_MAX, 51)  # where bias_curves reads each curve
 
 
 @dataclass(frozen=True)
@@ -64,14 +66,12 @@ def logistic_fit(
     if n <= p:
         raise SingularDesign(f"n={n} <= p={p}")
     # a constant non-intercept column makes the information singular
-    const_cols = np.where(X.std(axis=0) == 0)[0]
-    if len(const_cols) > 1 or (len(const_cols) == 1 and const_cols[0] != 0):
+    if (X[:, 1:].std(axis=0) == 0).any():
         raise SingularDesign("duplicate constant column")
 
     beta = np.zeros(p)
     eta = X @ beta
     ll = _log_likelihood(eta, y)
-    iterations = 0
     converged = False
     for iterations in range(1, 101):  # at most 100 Newton steps
         mu = sigmoid(eta)
@@ -201,7 +201,7 @@ def _build_cell(
     min_expected: float,
     small_level_policy: str = "insufficient",
 ) -> CellResult:
-    present = [lvl for lvl in levels if totals.get(lvl, 0) > 0]
+    present = [lvl for lvl in levels if totals[lvl] > 0]
     props = {lvl: positives[lvl] / totals[lvl] for lvl in present}
     delta = None
     if len(levels) == 2 and len(present) == 2:
@@ -316,14 +316,10 @@ def bias_curves(
     dataset: Dataset,
     au_intensity_ids: Sequence[str],
     group_attr: str,
-    grid: Sequence[float] = (),
 ) -> list[GroupCurve]:
     """Per-group fitted logistic curves of P(Y=1 | AU intensity) on
-    the grid, with delta-method standard-error bands. Each AU is swept in
+    CURVE_GRID, with delta-method standard-error bands. Each AU is swept in
     turn with the remaining AUs held at their pooled mean."""
-    grid = np.asarray(list(grid), dtype=float)
-    if grid.size == 0:
-        return []
     aus = sorted(au_intensity_ids, key=au_sort_key)
     y = (dataset.labels() == 1).astype(int)
     codes = dataset.group_codes(group_attr)
@@ -334,7 +330,7 @@ def bias_curves(
     for code, lvl in enumerate(dataset.group_levels(group_attr)):
         mask = codes == code
         X = np.stack(
-            [np.ones(int(mask.sum()))] + [intensity[au][mask] for au in aus],
+            [np.ones(np.count_nonzero(mask))] + [intensity[au][mask] for au in aus],
             axis=1,
         )
         try:
@@ -342,10 +338,10 @@ def bias_curves(
         except (Separation, SingularDesign) as exc:
             raise type(exc)(f"{group_attr}={lvl}: {exc}") from None
         for j, au in enumerate(aus):
-            design = np.ones((grid.size, len(aus) + 1))
+            design = np.ones((CURVE_GRID.size, len(aus) + 1))
             for k, other in enumerate(aus):
                 design[:, k + 1] = means[other]
-            design[:, j + 1] = grid
+            design[:, j + 1] = CURVE_GRID
             probs = fit.predict(design)
             # delta method through the logistic link
             g = design * (probs * (1 - probs))[:, None]
@@ -354,7 +350,7 @@ def bias_curves(
                 GroupCurve(
                     level=lvl,
                     au_id=au,
-                    grid=grid.copy(),
+                    grid=CURVE_GRID.copy(),
                     probabilities=probs,
                     std_errors=np.sqrt(np.maximum(var, 0.0)),
                 )

@@ -101,8 +101,6 @@ def calibrate_per_group(
     grp = np.asarray(groups)
     if not (x.size == y.size == grp.size):
         raise LengthMismatch("intensities/truth/groups lengths differ")
-    if x.size == 0:
-        raise EmptyInput("no samples")
     levels, codes = np.unique(grp, return_inverse=True)
     levels = levels.tolist()
 

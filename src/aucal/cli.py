@@ -16,8 +16,8 @@ from . import __version__
 from .audit import bias_curves, conditional_bias_report
 from .aucfer import ModelParams, TrainConfig, TrainResult, predict, train
 from .calibrate import calibrate_per_group
-from .data import (AU_MAX, AU_MIN, DEFAULT_THRESHOLD, CsvColumns, CsvSchema,
-                   Dataset, binarize, load_dataset, save_dataset)
+from .data import (DEFAULT_THRESHOLD, CsvColumns, CsvSchema, Dataset, binarize,
+                   load_dataset, save_dataset)
 from .errors import (AucalError, EmptyDataset, InvalidConfig, InvalidModel, IoError,
                      RepeatedAu, holds)
 from .metrics import build_fair_test_set, evaluate, summarize_runs
@@ -212,8 +212,7 @@ def _cmd_audit(args) -> int:
         small_level_policy=args.small_levels,
     )
     # bias_curves fits each level alone and may raise, so it runs before any write
-    grid = np.linspace(AU_MIN, AU_MAX, 51)
-    curves = bias_curves(dataset, aus, args.group, grid=grid) if args.curves else None
+    curves = bias_curves(dataset, aus, args.group) if args.curves else None
     emit_json(report, args.out,
               report_header(seed=args.seed, input_path=args.data))
     if args.csv:

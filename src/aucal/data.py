@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import re
-from collections.abc import Callable, Container, Iterable, Mapping, Sequence
+from collections.abc import Callable, Container, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from itertools import compress
 from pathlib import Path
@@ -194,9 +194,7 @@ class Dataset:
         cols = [self.au_ids.index(a) for a in aus]
         return CellKeys(tuple(aus), _pack(self.presence[:, cols]))
 
-    def subset(self, indices: Iterable[int]) -> "Dataset":
-        if not isinstance(indices, (np.ndarray, Sequence)):
-            indices = list(indices)
+    def subset(self, indices: Sequence[int]) -> "Dataset":
         return self._rows(np.asarray(indices, dtype=np.int64))
 
     def split_part(self, part: str) -> "Dataset":

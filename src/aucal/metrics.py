@@ -12,6 +12,7 @@ from .data import Dataset
 from .errors import (
     EmptyInput,
     InfeasibleBalance,
+    InsufficientData,
     Misaligned,
     MissingGroup,
     SingleClass,
@@ -45,8 +46,8 @@ def cv_discrimination(
     if positive_group not in levels:
         raise MissingGroup(positive_group)
     if len(levels) != 2:
-        raise MissingGroup(f"expected two levels, got {levels}")
-    other = [lvl for lvl in levels if lvl != positive_group][0]
+        raise InsufficientData(f"need exactly two group levels, got {levels}")
+    (other,) = set(levels) - {positive_group}
     rate_pos = float(pred[grp == positive_group].mean())
     rate_other = float(pred[grp == other].mean())
     signed = rate_pos - rate_other
@@ -87,16 +88,16 @@ def best_threshold(
     positive class, against every other label."""
     pos = labels == 1
     # correct = (# label != 1 with value <= t) + (# label == 1 with value > t)
-    correct = (np.searchsorted(np.sort(values[~pos]), grid, side="right") + int(pos.sum())
+    correct = (np.searchsorted(np.sort(values[~pos]), grid, side="right") + np.count_nonzero(pos)
                - np.searchsorted(np.sort(values[pos]), grid, side="right"))
-    best = int(np.argmax(correct))  # argmax returns the first (smallest t)
+    best = np.argmax(correct)  # argmax returns the first (smallest t)
     return float(grid[best]), float(correct[best]) / values.size
 
 
 def f1_score(pred: np.ndarray, truth: np.ndarray) -> float:
-    tp = int(np.sum((pred == 1) & (truth == 1)))
-    fp = int(np.sum((pred == 1) & (truth == 0)))
-    fn = int(np.sum((pred == 0) & (truth == 1)))
+    tp = np.count_nonzero((pred == 1) & (truth == 1))
+    fp = np.count_nonzero((pred == 1) & (truth == 0))
+    fn = np.count_nonzero((pred == 0) & (truth == 1))
     denom = 2 * tp + fp + fn
     return 2 * tp / denom if denom else 0.0
 
@@ -138,10 +139,8 @@ def build_fair_test_set(
             continue
         mask = codes == code
         pos_idx = np.flatnonzero(mask & (y == 1))
-        # remove k positives so (pos - k)/(n - k) == target_rate
-        k = (pos_idx.size - target_rate * int(mask.sum())) / (1.0 - target_rate)
-        k = int(round(k))
-        k = min(max(k, 0), pos_idx.size)
+        # remove k positives so (pos - k)/(n - k) == target_rate; 0 <= k <= pos
+        k = round((pos_idx.size - target_rate * np.count_nonzero(mask)) / (1.0 - target_rate))
         gen = rng.child(f"rate-{levels[code]}").generator()
         keep[gen.choice(pos_idx, size=k, replace=False)] = False
     return pruned.subset(np.flatnonzero(keep))
@@ -157,8 +156,6 @@ def evaluate(
     F1, per-group positive rates, and both Disc forms. Label 1 is the
     positive class, against every other label."""
     s = np.asarray(scores, dtype=float)
-    if s.size != len(test_dataset):
-        raise Misaligned(f"{s.size} scores for {len(test_dataset)} records")
     y = (test_dataset.labels() == 1).astype(int)
     codes = test_dataset.group_codes(group_attr)
     levels = test_dataset.group_levels(group_attr)

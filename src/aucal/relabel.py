@@ -66,7 +66,7 @@ def relabel_to_parity(
     new_y = y.copy()
     for cell, rows in strata(keys.codes):
         condition = keys.key(cell).describe()
-        p_star = int(y[rows].sum()) / rows.size
+        p_star = np.count_nonzero(y[rows]) / rows.size
         for code, sub in strata(codes[rows]):
             level = levels[code]
             idx = rows[sub]
@@ -124,14 +124,10 @@ def balanced_subsample(
     # one stratum per (cell, level), cells outermost
     for code, idx in strata(keys.codes * len(levels) + codes):
         stratum = f"{keys.key(code // len(levels)).describe()}/{levels[code % len(levels)]}"
-        if idx.size <= per_cell_count:
-            if idx.size < per_cell_count:
-                shortfalls.append(
-                    f"{stratum}: only {idx.size} of {per_cell_count} available"
-                )
+        if idx.size < per_cell_count:
+            shortfalls.append(f"{stratum}: only {idx.size} of {per_cell_count} available")
         else:
-            gen = rng.child(stratum).generator()
-            idx = gen.choice(idx, size=per_cell_count, replace=False)
+            idx = rng.child(stratum).generator().choice(idx, size=per_cell_count, replace=False)
         kept.append(idx)
     return SubsampleResult(dataset=dataset.subset(np.sort(np.concatenate(kept))),
                            shortfalls=shortfalls)

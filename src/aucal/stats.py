@@ -51,7 +51,7 @@ def upper_gamma_cf(a: float, x: float) -> float:
     tiny = 1e-300
     b = x + 1.0 - a
     c = 1.0 / tiny
-    d = 1.0 / b if b != 0 else 1.0 / tiny
+    d = 1.0 / (b or tiny)
     h = d
     for i in range(1, _MAX_ITER):
         an = -i * (i - a)
@@ -113,11 +113,8 @@ def reg_upper_gamma(a: float, x: float) -> float:
 
 
 def chi2_sf(x: float, dof: int) -> float:
-    """Upper tail P(X >= x) of the chi-square distribution."""
-    if x < 0:
-        return 1.0
-    if dof < 1:
-        raise OutOfDomain("dof must be >= 1")
+    """Upper tail P(X >= x) of the chi-square distribution; the gamma
+    routes refuse dof < 1 and x < 0 as OutOfDomain."""
     return reg_upper_gamma(dof / 2.0, x / 2.0)
 
 

@@ -1,9 +1,11 @@
+import argparse
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from aucal.cli import build_parser
 from aucal.data import Dataset, au_sort_key, binarize
 from aucal.synth import AuModel, SynthConfig, generate
 
@@ -116,3 +118,10 @@ def biased_dataset():
     cfg = biased_config(seed=11)
     res = generate(cfg)
     return binarize(res.dataset, {"AU6": 2.2, "AU12": 2.2}), cfg
+
+
+def flags_by_command() -> dict[str, set[str]]:
+    """Each aucal subcommand's option strings, -h and --help included."""
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: set(p._option_string_actions) for name, p in sub.choices.items()}

@@ -332,15 +332,6 @@ def test_predict_zero_weights_is_half():
     assert emb.shape == (5, 3)
 
 
-def test_predict_single_record_matches_batch():
-    params = init_params(4, 3, 2, Rng(1, ("p",)))
-    x = Rng(2, ("x",)).generator().normal(0, 1, (5, 4))
-    batch_scores, batch_emb = predict(params, x)
-    s0, e0 = predict(params, x[0])
-    assert s0 == pytest.approx(batch_scores[0])
-    np.testing.assert_allclose(e0, batch_emb[0])
-
-
 def test_forward_relu():
     params = ModelParams(
         W1=np.array([[1.0, -1.0]]), b1=np.zeros(2),

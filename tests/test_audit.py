@@ -67,7 +67,7 @@ def test_logistic_null_coefficient_p_uniform():
 def test_logistic_separation():
     X = np.stack([np.ones(6), np.array([0, 1, 2, 3, 4, 5.0])], axis=1)
     y = np.array([0, 0, 0, 1, 1, 1])
-    with pytest.raises(Separation):
+    with pytest.raises(Separation, match="pinned"):
         logistic_fit(X, y)
 
 
@@ -91,6 +91,46 @@ def test_logistic_singular_design():
     y = (gen.random(n) < 0.5).astype(int)
     with pytest.raises(SingularDesign):
         logistic_fit(X, y)
+
+
+@pytest.mark.parametrize("columns, message", [
+    ([[1.0] * 4, [2.0] * 4, [0.0, 1.0, 3.0, 2.0]], "duplicate constant column"),
+    ([[0.0, 1.0, 3.0, 2.0], [2.0] * 4], "duplicate constant column"),
+    ([[1.0] * 3, [0.0, 1.0, 3.0], [1.0, 0.0, 1.0]], "n=3 <= p=3"),
+])
+def test_logistic_design_checks(columns, message):
+    X = np.array(columns).T
+    with pytest.raises(SingularDesign, match=message):
+        logistic_fit(X, [0, 1, 1, 0][:len(X)])
+
+
+def _raise_linalg(*args):
+    raise np.linalg.LinAlgError("singular")
+
+
+@pytest.mark.parametrize("name, fake, message", [
+    ("solve", _raise_linalg, "information matrix singular$"),
+    ("inv", _raise_linalg, "information matrix singular at optimum"),
+    ("inv", np.zeros_like, "covariance diagonal not finite and positive"),
+])
+def test_logistic_singular_information(monkeypatch, name, fake, message):
+    gen = Rng(3, ("coin",)).generator()
+    X = np.stack([np.ones(40), gen.normal(0, 1, 40)], axis=1)
+    y = (gen.random(40) < 0.5).astype(int)
+    monkeypatch.setattr(np.linalg, name, fake)
+    with pytest.raises(SingularDesign, match=message):
+        logistic_fit(X, y)
+
+
+def test_a_singular_information_on_pinned_probabilities_is_separation(monkeypatch):
+    # the first step drives eta to +-20, probabilities within 2.1e-9 of the
+    # labels; the next solve fails
+    steps = [np.array([0.0, 20.0])]
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda info, grad: steps.pop() if steps else _raise_linalg())
+    X = np.stack([np.ones(6), np.repeat([-1.0, 1.0], 3)], axis=1)
+    with pytest.raises(Separation, match="pinned"):
+        logistic_fit(X, [0, 0, 0, 1, 1, 1])
 
 
 def test_zero_positive_reference_level_is_a_logistic_error():
@@ -144,6 +184,19 @@ def test_conditional_report_proportion_counts_are_integers():
         for lvl, prop in cell.proportion_per_group.items():
             n = cell.n_per_group[lvl]
             assert prop * n == pytest.approx(round(prop * n), abs=1e-9)
+
+
+def test_conditional_report_keeps_a_one_row_level_and_flags_the_higher_rate():
+    ds = _two_group_dataset(1, 1, 20, 200)
+    cell = [c for c in conditional_bias_report(ds, ["AU6", "AU12"], "gender",
+                                               include_logistic=False).cells
+            if c.condition == "AU12=1,AU6=1"][0]
+    assert cell.proportion_per_group == {"F": 1.0, "M": 0.1}
+    ds = _two_group_dataset(100, 200, 180, 200)
+    cell = [c for c in conditional_bias_report(ds, ["AU6", "AU12"], "gender",
+                                               include_logistic=False).cells
+            if c.condition == "AU12=1,AU6=1"][0]
+    assert (cell.p_value < 0.05, cell.argmax_level) == (True, "M")
 
 
 def test_conditional_report_insufficient_cell():
@@ -260,8 +313,7 @@ def test_bias_curves_identical_groups():
         y = int(gen.random() < _sigmoid(-3 + 0.8 * au6 + 0.6 * au12))
         recs.append(record(i, au6, au12, y, "F" if i % 2 else "M"))
     ds = dataset_of(recs, ["AU6", "AU12"])
-    grid = np.linspace(0, 5, 11)
-    curves = bias_curves(ds, ["AU6", "AU12"], "gender", grid=grid)
+    curves = bias_curves(ds, ["AU6", "AU12"], "gender")
     assert len(curves) == 4  # 2 groups x 2 AUs
     by = {(c.level, c.au_id): c for c in curves}
     # same generator for both groups: curves nearly coincide
@@ -282,16 +334,9 @@ def test_bias_curves_injected_shift_orders_curves():
                                         + 0.6 * female))
         recs.append(record(i, au6, au12, y, "F" if female else "M"))
     ds = dataset_of(recs, ["AU6", "AU12"])
-    grid = np.linspace(0.5, 4.5, 9)
-    curves = {(c.level, c.au_id): c
-              for c in bias_curves(ds, ["AU6", "AU12"], "gender", grid=grid)}
+    curves = {(c.level, c.au_id): c for c in bias_curves(ds, ["AU6", "AU12"], "gender")}
     assert np.all(curves[("F", "AU6")].probabilities
                   > curves[("M", "AU6")].probabilities)
-
-
-def test_bias_curves_empty_grid():
-    ds = _two_group_dataset(10, 20, 10, 20)
-    assert bias_curves(ds, ["AU6"], "gender", grid=[]) == []
 
 
 def test_null_false_positive_rate():

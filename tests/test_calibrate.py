@@ -81,6 +81,15 @@ def test_calibrate_global_errors():
         calibrate_global([], [])
 
 
+def test_calibrate_per_group_errors():
+    with pytest.raises(LengthMismatch):
+        calibrate_per_group([1, 2], [0, 1], ["F"])
+    with pytest.raises(LengthMismatch):
+        accuracy_parity_check([1, 0], [0, 1], ["F"])
+    with pytest.raises(EmptyInput):
+        calibrate_per_group([], [], [])
+
+
 def test_calibrate_global_accuracy_is_grid_max():
     gen = Rng(9, ("grid",)).generator()
     y = (gen.random(120) < 0.4).astype(int)

@@ -116,6 +116,37 @@ def test_relabel_round_trip(tmp_path):
     assert changed > 0
 
 
+def test_relabel_drops_a_row_with_a_blank_au_intensity(tmp_path):
+    data, out = _make_data(tmp_path, n=600), tmp_path / "relabeled.csv"
+    lines = data.read_text(encoding="utf-8").splitlines()
+    au6, row = lines[0].split(",").index("AU6"), lines[5].split(",")
+    row[au6] = ""
+    lines[5] = ",".join(row)
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run(["relabel", "--data", str(data), "--condition", "AU6,AU12",
+                "--out", str(out)]) == 0
+    ids = load_dataset(out, CsvSchema()).dataset.ids.tolist()
+    assert len(ids) == 599 and row[0] not in ids
+
+
+@pytest.mark.parametrize("command, flags, holds", [
+    ("audit", ["--marginal"], lambda report: report["mode"] == "marginal" and
+     sorted(c["condition"] for c in report["cells"]) == ["AU12=0", "AU12=1", "AU6=0", "AU6=1"]),
+    ("audit", ["--min-expected", "1e9"], lambda report: {
+        c["status"] for c in report["cells"]} == {"insufficient_data"}),
+    ("train", ["--margin", "0.3", "--batch", "64", "--emb", "3", "--epochs", "1"],
+     lambda model: len(model["W1"][0]) == 3 and {
+         k: model["config"][k] for k in ("margin", "batch_size", "d_emb")} == {
+         "margin": 0.3, "batch_size": 64, "d_emb": 3}),
+], ids=["marginal", "min-expected", "train"])
+def test_audit_and_train_flags_take_effect(tmp_path, command, flags, holds):
+    out = tmp_path / "out.json"
+    assert run([command, "--data", str(_make_data(tmp_path, n=800)),
+                "--condition", "AU6,AU12", *flags, "--out", str(out)]) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert holds(payload.get("report", payload))
+
+
 def test_train_eval_round_trip(tmp_path, capsys):
     data = _make_data(tmp_path, n=2000)
     model = tmp_path / "model.json"
@@ -150,6 +181,33 @@ def test_eval_exits_1_on_a_model_whose_scores_overflow(tmp_path, capsys):
     assert run(["eval", "--model", str(path), "--test", str(demo / "data.csv"),
                 "--positive-group", "F", "--out", str(out)]) == 1
     assert "the score of feature row 2 is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "compare"])
+def test_a_group_with_three_levels_exits_1_naming_them(tmp_path, capsys, command):
+    data = _make_data(tmp_path, n=1500)
+    lines = data.read_text(encoding="utf-8").splitlines()
+    gender = lines[0].split(",").index("gender")
+    for i in range(1, len(lines), 3):
+        row = lines[i].split(",")
+        row[gender] = "X"
+        lines[i] = ",".join(row)
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    model, out = tmp_path / "model.json", tmp_path / "out"
+    if command == "eval":
+        assert run(["train", "--data", str(data), "--condition", "AU6,AU12",
+                    "--epochs", "1", "--out", str(model)]) == 0
+        argv = ["eval", "--model", str(model), "--test", str(data), "--positive-group", "F"]
+    else:
+        spec = {"data": str(data), "condition": "AU6,AU12", "positive_group": "F",
+                "models": [{"name": "plain", "lambda": 0.0, "epochs": 1}]}
+        (tmp_path / "runs.json").write_text(json.dumps(spec), encoding="utf-8")
+        argv = ["compare", "--configs", str(tmp_path / "runs.json"), "--seeds", "1"]
+    capsys.readouterr()
+    assert run([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: need exactly two group levels, got ['F', 'M', 'X']\n")
     assert not out.exists()
 
 

@@ -213,6 +213,16 @@ BASE = ("id,AU6,AU12,label,gender,split,f0\n"
         "a,1,1,0,F,train,0.5\nb,2,2,1,M,test,1.5\nc,3,0.5,1,F,train,2.5\n")
 
 
+def test_cells_float_reads_only_once_stripped_load_through_csv_reader(tmp_path):
+    """float() refuses "\x1c1.5", which str.strip makes 1.5; a quoted id
+    sends the file through csv.reader, whose cells the load retries stripped."""
+    p = tmp_path / "d.csv"
+    p.write_text(BASE.replace("a,1,1", '"a",\x1c1.5,1').replace("2.5\n", "\x1c-1\n"),
+                 encoding="utf-8")
+    ds = load_dataset(p).dataset
+    assert (ds.intensity[0, ds.au_ids.index("AU6")], ds.features[2, 0]) == (1.5, -1.0)
+
+
 @pytest.mark.parametrize("old, new, message", [
     ("b,2,2,1", "b,abc,2,1", "row 3, column 'AU6': unparseable value (not a number)"),
     ("b,2,2,1", "b,1 .5,2,1", "row 3, column 'AU6': unparseable value (not a number)"),

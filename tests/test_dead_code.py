@@ -6,12 +6,16 @@ functions it traces by "module:attribute" strings.
 
 And every defaulted parameter of a public function or method in aucal is
 passed by some call in src/, bench/ or tests/test_acceptance.py: a
-parameter only other tests set is a library path no command reaches."""
+parameter only other tests set is a library path no command reaches.
+
+And every --flag of an aucal subcommand is a string in some test."""
 
 import ast
 import re
 from collections import Counter
 from pathlib import Path
+
+from conftest import flags_by_command
 
 ROOT = Path(__file__).resolve().parents[1]
 IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
@@ -197,3 +201,11 @@ def test_untyped_error_is_reported():
            "    except ValueError:\n        raise MyError from None\n")
     assert untyped_errors({"m.py": library, "cli.py": cli}) == [
         "m.py:3", "m.py:4", "cli.py:4"]
+
+
+def test_every_command_flag_is_in_some_test():
+    strings = {node.value for p in sorted((ROOT / "tests").glob("*.py"))
+               for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    flags = set().union(*flags_by_command().values()) - {"-h", "--help"}
+    assert sorted(flags - strings) == []

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from aucal.data import binarize
-from aucal.errors import (EmptyInput, InfeasibleBalance, Misaligned, MissingGroup,
-                          SingleClass)
+from aucal.errors import (EmptyInput, InfeasibleBalance, InsufficientData, Misaligned,
+                          MissingGroup, SingleClass)
 from aucal.metrics import (
+    EASY_HIGH,
+    EASY_LOW,
     EvalResult,
     build_fair_test_set,
     cv_discrimination,
     evaluate,
+    f1_score,
     select_threshold,
     summarize_runs,
 )
@@ -55,7 +58,7 @@ def test_cv_discrimination_equal_rates():
 def test_cv_discrimination_unknown_group():
     with pytest.raises(MissingGroup):
         cv_discrimination([1, 0], ["F", "M"], "X")
-    with pytest.raises(MissingGroup):
+    with pytest.raises(InsufficientData, match=r"two group levels, got \['F', 'M', 'Q'\]"):
         cv_discrimination([1, 0, 1], ["F", "M", "Q"], "F")
 
 
@@ -139,6 +142,27 @@ def test_fair_test_set_prunes_easy_scores():
     assert all(f"r{i}" not in kept_ids for i in range(20))
 
 
+def test_fair_test_set_keeps_scores_on_the_easy_bounds():
+    ds, scores = _scored_dataset(rate_f=0.5, rate_m=0.5)
+    scores = scores.copy()
+    scores[:2] = EASY_LOW, EASY_HIGH
+    assert len(build_fair_test_set(ds, scores, "gender")) == len(ds)
+
+
+def test_fair_test_set_rounds_the_positives_to_remove():
+    # F: 5 of 10 positive, M: 3 of 10; removing k = 2/0.7 = 2.86 -> 3 F
+    # positives gives F the rate 2/7, nearer 0.3 than the 3/8 of k = 2
+    ds, _ = _scored_dataset(n_f=10, n_m=10, rate_f=0.5, rate_m=0.3)
+    fair = build_fair_test_set(ds, np.full(20, 0.5), "gender")
+    assert len(fair) == 17
+    assert int(fair.labels()[fair.group_values("gender") == "F"].sum()) == 2
+
+
+def test_fair_test_set_of_all_positive_groups_keeps_every_row():
+    ds, scores = _scored_dataset(rate_f=1.0, rate_m=1.0)
+    assert len(build_fair_test_set(ds, scores, "gender")) == len(ds)
+
+
 def test_fair_test_set_equal_rates_noop():
     ds, scores = _scored_dataset(rate_f=0.5, rate_m=0.5)
     fair = build_fair_test_set(ds, scores, "gender")
@@ -162,6 +186,25 @@ def test_fair_test_set_deterministic():
     a = build_fair_test_set(ds, scores, "gender", seed=5)
     b = build_fair_test_set(ds, scores, "gender", seed=5)
     assert [r.id for r in rows_of(a)] == [r.id for r in rows_of(b)]
+
+
+def test_evaluate_misaligned():
+    ds, scores = _scored_dataset()
+    with pytest.raises(Misaligned):
+        evaluate(scores[:-1], ds, "gender", "F")
+
+
+def test_evaluate_predicts_as_the_threshold_scan_counts():
+    """The midpoint of two adjacent doubles rounds to the lower one, which
+    the scan counts as predicted 0; evaluate's predictions agree."""
+    low = 0.5
+    ds = dataset_of([record(i, 1.0, 1.0, i % 2, "FFMM"[i]) for i in range(4)], ["AU6", "AU12"])
+    res = evaluate(np.array([low, np.nextafter(low, 1.0)] * 2), ds, "gender", "F")
+    assert (res.threshold, res.accuracy, res.f1) == (low, 1.0, 1.0)
+
+
+def test_f1_with_no_positive_prediction_or_truth_is_0():
+    assert f1_score(np.zeros(4), np.zeros(4)) == 0.0
 
 
 def test_evaluate_perfect_scores():
@@ -196,6 +239,11 @@ def test_summarize_runs_moments():
 def test_summarize_single_run_zero_std():
     summary = summarize_runs("one", [EvalResult(0.5, 0.8, 0.5, {}, 0.1, 0.1)])
     assert summary.std_disc_abs == 0.0
+
+
+def test_summarize_two_runs_uses_the_sample_std():
+    summary = summarize_runs("two", [EvalResult(0.5, 0.8, 0.5, {}, d, d) for d in (0.1, 0.3)])
+    assert summary.std_disc_abs == pytest.approx(0.1 * 2 ** 0.5)
 
 
 def test_threshold_and_evaluate_reject_zero_scores():

@@ -3,20 +3,13 @@ on an `aucal <command> ...` line, in a code block or in backticks, belongs
 to that command, and a backticked flag in the prose to some command. A
 README that still documented a deleted flag fails here."""
 
-import argparse
 import re
 from pathlib import Path
 
-from aucal.cli import build_parser
+from conftest import flags_by_command
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 FLAG = re.compile(r"--[A-Za-z][\w-]*")
-
-
-def _flags_by_command() -> dict[str, set[str]]:
-    parser = build_parser()
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return {name: set(p._option_string_actions) for name, p in sub.choices.items()}
 
 
 def _readme_snippets() -> tuple[list[str], list[str]]:
@@ -32,7 +25,7 @@ def _readme_snippets() -> tuple[list[str], list[str]]:
 
 
 def test_readme_command_lines_use_their_commands_flags():
-    flags = _flags_by_command()
+    flags = flags_by_command()
     commands, _ = _readme_snippets()
     assert len(commands) >= 8  # demo plus one line per step
     unknown = [(line.split()[1], flag) for line in commands
@@ -42,7 +35,7 @@ def test_readme_command_lines_use_their_commands_flags():
 
 
 def test_readme_prose_flags_exist():
-    accepted = set().union(*_flags_by_command().values())
+    accepted = set().union(*flags_by_command().values())
     _, spans = _readme_snippets()
     assert spans  # the prose names flags
     unknown = sorted({flag for span in spans for flag in FLAG.findall(span)}

@@ -127,6 +127,13 @@ def test_balanced_subsample_shortfall():
     assert len(res.dataset) == 12  # 5 kept + 7 sampled
 
 
+def test_balanced_subsample_of_one_row_and_of_a_whole_stratum():
+    ds = _one_cell_dataset(3, 5, 4, 9)
+    assert len(balanced_subsample(ds, ["AU6", "AU12"], "gender", 1, seed=0).dataset) == 2
+    whole = balanced_subsample(ds, ["AU6", "AU12"], "gender", 5, seed=0)
+    assert (whole.shortfalls, len(whole.dataset)) == ([], 10)
+
+
 def test_balanced_subsample_invalid_count():
     ds = _one_cell_dataset(1, 2, 1, 2)
     with pytest.raises(InvalidCount):

@@ -10,6 +10,7 @@ from aucal.stats import (
     lower_gamma_cf,
     lower_gamma_series,
     reg_upper_gamma,
+    sigmoid,
     table_from_counts,
     two_proportion_test,
     upper_gamma_cf,
@@ -57,14 +58,46 @@ def test_gamma_against_mpmath():
 
 @pytest.mark.parametrize("call", [
     lambda: lower_gamma_series(0.0, 1.0),
+    lambda: lower_gamma_series(-0.5, 1.0),
+    lambda: lower_gamma_series(1.0, -0.5),
+    lambda: upper_gamma_cf(0.0, 1.0),
+    lambda: upper_gamma_cf(-0.5, 1.0),
     lambda: upper_gamma_cf(1.0, -1.0),
+    lambda: upper_gamma_cf(1.0, -0.5),
     lambda: lower_gamma_cf(-2.0, 1.0),
+    lambda: lower_gamma_cf(0.0, 1.0),
+    lambda: lower_gamma_cf(-0.5, 1.0),
+    lambda: lower_gamma_cf(1.0, -0.5),
     lambda: chi2_sf(1.0, 0),
+    lambda: chi2_sf(100.0, -2),
+    lambda: chi2_sf(-1.0, 1),
 ])
 def test_gamma_and_chi2_domain_errors_are_typed(call):
     with pytest.raises(OutOfDomain) as info:
         call()
     assert not isinstance(info.value, ValueError)
+
+
+def test_each_gamma_route_at_small_a_and_x():
+    # P(1/2, x) = erf(sqrt x), P(1, x) = 1 - e^-x and Q(3/2, x) = erfc(sqrt x)
+    # + 2 sqrt(x/pi) e^-x; Q(3/2, 1/2) starts the continued fraction at
+    # b = x + 1 - a = 0, and P(1, 2) needs lower_gamma_cf's early stop
+    x = 0.5
+    assert lower_gamma_cf(1.0, 2.0) == pytest.approx(1.0 - math.exp(-2.0), rel=1e-12)
+    assert lower_gamma_series(0.5, x) == pytest.approx(math.erf(math.sqrt(x)), rel=1e-12)
+    assert lower_gamma_cf(0.5, x) == pytest.approx(math.erf(math.sqrt(x)), rel=1e-12)
+    assert upper_gamma_cf(0.5, x) == pytest.approx(math.erfc(math.sqrt(x)), rel=1e-12)
+    assert upper_gamma_cf(1.5, x) == pytest.approx(
+        math.erfc(math.sqrt(x)) + 2 * math.sqrt(x / math.pi) * math.exp(-x), rel=1e-12)
+    assert (lower_gamma_series(0.5, 0.0), upper_gamma_cf(0.5, 0.0),
+            lower_gamma_cf(0.5, 0.0)) == (0.0, 1.0, 0.0)
+    # from x = a + 1 on, Q takes the continued fraction, whose last bits differ
+    assert reg_upper_gamma(7.0, 8.0) == upper_gamma_cf(7.0, 8.0) != 1.0 - lower_gamma_series(7.0, 8.0)
+
+
+def test_sigmoid_clips_eta_at_35():
+    s = sigmoid(np.array([-40.0, -35.0, -34.0, 34.0, 35.0, 40.0]))
+    assert s[0] == s[1] < s[2] and s[3] < s[4] == s[5]
 
 
 def test_chi2_sf_known_value():
@@ -85,6 +118,29 @@ def test_chi_square_hand_example():
     assert stat == pytest.approx(4.0)
     assert dof == 1
     assert p == pytest.approx(0.0455, abs=5e-4)
+
+
+@pytest.mark.parametrize("counts, message", [
+    ([[0, 0], [0, 0]], "empty table"),
+    ([[1, 0], [0, 0]], "expected count below"),
+])
+def test_chi_square_too_sparse(counts, message):
+    with pytest.raises(InsufficientData, match=message):
+        chi_square_independence(ContingencyTable(("a", "b"), ("x", "y"), np.array(counts)))
+
+
+def test_chi_square_tests_expected_counts_of_exactly_min_expected():
+    assert chi_square_independence(table_from_counts(["a", "b"], [5, 5], [10, 10])) == (0.0, 1, 1.0)
+
+
+@pytest.mark.parametrize("rows, cols, counts", [
+    (("a",), ("x", "y"), [[1, 2]]),
+    (("a", "b"), ("x",), [[1], [2]]),
+    (("a", "b"), ("x", "y"), [[-1, 2], [3, 4]]),
+])
+def test_contingency_table_needs_two_by_two_nonnegative_counts(rows, cols, counts):
+    with pytest.raises(InvalidCounts):
+        ContingencyTable(rows, cols, np.array(counts))
 
 
 def test_chi_square_insufficient():
@@ -154,3 +210,7 @@ def test_two_proportion_invalid():
         two_proportion_test(5, 4, 1, 10)
     with pytest.raises(InvalidCounts):
         two_proportion_test(1, 0, 1, 10)
+    with pytest.raises(InvalidCounts):
+        two_proportion_test(0, 0, 1, 10)
+    with pytest.raises(InvalidCounts):
+        two_proportion_test(-1, 10, 1, 10)
