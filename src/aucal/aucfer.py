@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .data import AuCellKey, CellKeys, Dataset, au_sort_key, strata
+from .data import AuCellKey, CellKeys, Dataset, strata
 from .errors import (
     DimensionMismatch,
     Diverged,
@@ -257,6 +257,12 @@ class LossBreakdown:
 
 def forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Embedding (post-relu hidden layer) and logits."""
+    if x.ndim != 2:
+        raise DimensionMismatch(f"features must be a 2-d matrix, not {x.ndim}-d")
+    if x.shape[1] != params.W1.shape[0]:
+        raise DimensionMismatch(
+            f"features dim {x.shape[1]} != W1 rows {params.W1.shape[0]}"
+        )
     hidden = x @ params.W1 + params.b1
     emb = np.maximum(hidden, 0.0)
     return emb, emb @ params.W2 + params.b2
@@ -271,10 +277,6 @@ def total_loss(
     """Combined loss L = CE + lambda * triplet, with analytic gradients for
     all four parameter blocks returned as a ModelParams of the same shape."""
     x = batch.features
-    if x.shape[1] != params.W1.shape[0]:
-        raise DimensionMismatch(
-            f"features dim {x.shape[1]} != W1 rows {params.W1.shape[0]}"
-        )
     emb, logits = forward(params, x)
     ce, d_logits = cross_entropy(logits, batch.labels)
 
@@ -361,7 +363,7 @@ def _fit(dataset: Dataset, config: TrainConfig, conditioning: Sequence[str],
     if dataset.feature_dim == 0:
         raise NoFeatures("training needs a nonzero feature_dim")
     x, y = part.feature_matrix(), part.labels()
-    keys = part.cell_keys(sorted(conditioning, key=au_sort_key))
+    keys = part.cell_keys(conditioning)
     rng = Rng(config.seed, ("train",))
     params = init_params(x.shape[1], config.d_emb, max(2, int(y.max()) + 1), rng)
     result = TrainResult(params=params)
@@ -428,10 +430,6 @@ def predict(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Softmax probability of class 1, the positive class, plus the embedding."""
     x = np.asarray(features, dtype=float)
-    if x.shape[1] != params.W1.shape[0]:
-        raise DimensionMismatch(
-            f"features dim {x.shape[1]} != W1 rows {params.W1.shape[0]}"
-        )
     with np.errstate(over="ignore", invalid="ignore"):  # huge finite weights overflow
         emb, logits = forward(params, x)
         shifted = logits - logits.max(axis=1, keepdims=True)

@@ -29,7 +29,7 @@ class LogisticFit:
     std_errors: np.ndarray
     wald_z: np.ndarray
     p_values: np.ndarray
-    converged: bool
+    converged: bool  # always True: a fit that does not converge raises Separation
     iterations: int
     log_likelihood: float
     covariance: np.ndarray
@@ -72,14 +72,21 @@ def logistic_fit(
     beta = np.zeros(p)
     eta = X @ beta
     ll = _log_likelihood(eta, y)
-    converged = False
-    for iterations in range(1, 101):  # at most 100 Newton steps
+    delta = np.inf  # no step taken yet
+    for iterations in range(101):  # Newton steps taken so far, at most 100
         mu = sigmoid(eta)
         w = mu * (1.0 - mu)
-        grad = X.T @ (y - mu)
         info = (X * w[:, None]).T @ X
+        # the full step delta = info^-1 @ score, so it is short only where the
+        # score is near zero; a step that halving shrank is no convergence
+        if np.max(np.abs(delta)) < 1e-10:
+            break
+        if np.max(np.minimum(mu, 1.0 - mu)) < 1e-10:
+            raise Separation("fitted probabilities pinned to {0, 1}")
+        if iterations == 100:  # 100 halved Newton steps: the MLE does not exist
+            raise Separation(f"no convergence in {iterations} Newton steps")
         try:
-            delta = np.linalg.solve(info, grad)
+            delta = np.linalg.solve(info, X.T @ (y - mu))
         except np.linalg.LinAlgError:
             if np.max(np.minimum(mu, 1.0 - mu)) < 1e-8:
                 raise Separation("fitted probabilities pinned to {0, 1}")
@@ -94,20 +101,7 @@ def logistic_fit(
                 break
             step *= 0.5
         beta, eta, ll = cand, cand_eta, cand_ll
-        # the full step delta = info^-1 @ score, so it is short only where the
-        # score is near zero; a step that halving shrank is no convergence
-        if np.max(np.abs(delta)) < 1e-10:
-            converged = True
-            break
-        mu = sigmoid(eta)
-        if np.max(np.minimum(mu, 1.0 - mu)) < 1e-10:
-            raise Separation("fitted probabilities pinned to {0, 1}")
 
-    if not converged:  # 100 halved Newton steps: the MLE does not exist
-        raise Separation(f"no convergence in {iterations} Newton steps")
-    mu = sigmoid(eta)
-    w = mu * (1.0 - mu)
-    info = (X * w[:, None]).T @ X
     try:
         cov = np.linalg.inv(info)
     except np.linalg.LinAlgError:
@@ -123,7 +117,7 @@ def logistic_fit(
         std_errors=se,
         wald_z=z,
         p_values=pvals,
-        converged=converged,
+        converged=True,
         iterations=iterations,
         log_likelihood=ll,
         covariance=cov,
@@ -174,23 +168,26 @@ def _cell_masks(
     raise InvalidConfig(f"unknown conditioning mode {mode!r}")
 
 
+def _au_design(
+    dataset: Dataset, au_ids: Sequence[str]
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Design matrix: intercept + raw AU intensities in au_sort_key order."""
+    aus = sorted(au_ids, key=au_sort_key)
+    cols = [np.ones(len(dataset))] + [dataset.intensities(au) for au in aus]
+    return np.stack(cols, axis=1), ("intercept", *aus)
+
+
 def group_design(
     dataset: Dataset, au_ids: Sequence[str], group_attr: str
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """Design matrix: intercept + raw AU intensities + one indicator per
     non-reference group level (reference = first declared level)."""
-    aus = sorted(au_ids, key=au_sort_key)
+    X, names = _au_design(dataset, au_ids)
     levels = dataset.group_levels(group_attr)
-    cols = [np.ones(len(dataset))]
-    names = ["intercept"]
-    for au in aus:
-        cols.append(dataset.intensities(au))
-        names.append(au)
     codes = dataset.group_codes(group_attr)
-    for code, lvl in enumerate(levels[1:], start=1):
-        cols.append((codes == code).astype(float))
-        names.append(f"{group_attr}={lvl}")
-    return np.stack(cols, axis=1), tuple(names)
+    indicators = [(codes == code).astype(float) for code in range(1, len(levels))]
+    return (np.column_stack([X, *indicators]),
+            names + tuple(f"{group_attr}={lvl}" for lvl in levels[1:]))
 
 
 def _build_cell(
@@ -320,28 +317,22 @@ def bias_curves(
     """Per-group fitted logistic curves of P(Y=1 | AU intensity) on
     CURVE_GRID, with delta-method standard-error bands. Each AU is swept in
     turn with the remaining AUs held at their pooled mean."""
-    aus = sorted(au_intensity_ids, key=au_sort_key)
+    X, names = _au_design(dataset, au_intensity_ids)
     y = (dataset.labels() == 1).astype(int)
     codes = dataset.group_codes(group_attr)
-    means = {au: float(dataset.intensities(au).mean()) for au in aus}
-    intensity = {au: dataset.intensities(au) for au in aus}
+    means = [float(X[:, k].mean()) for k in range(1, X.shape[1])]
 
     curves = []
     for code, lvl in enumerate(dataset.group_levels(group_attr)):
         mask = codes == code
-        X = np.stack(
-            [np.ones(np.count_nonzero(mask))] + [intensity[au][mask] for au in aus],
-            axis=1,
-        )
         try:
-            fit = logistic_fit(X, y[mask], term_names=("intercept", *aus))
+            fit = logistic_fit(X[mask], y[mask], term_names=names)
         except (Separation, SingularDesign) as exc:
             raise type(exc)(f"{group_attr}={lvl}: {exc}") from None
-        for j, au in enumerate(aus):
-            design = np.ones((CURVE_GRID.size, len(aus) + 1))
-            for k, other in enumerate(aus):
-                design[:, k + 1] = means[other]
-            design[:, j + 1] = CURVE_GRID
+        for j, au in enumerate(names[1:], start=1):
+            design = np.ones((CURVE_GRID.size, X.shape[1]))
+            design[:, 1:] = means
+            design[:, j] = CURVE_GRID
             probs = fit.predict(design)
             # delta method through the logistic link
             g = design * (probs * (1 - probs))[:, None]

@@ -123,24 +123,21 @@ def build_fair_test_set(
     y = (pruned.labels() == 1).astype(int)
     codes = pruned.group_codes(group_attr)
     levels = pruned.group_levels(group_attr)
-    present = np.unique(codes)  # the levels left after pruning
     rng = Rng(seed, ("fair_test",))
 
-    rates = {}
-    for code in present:
-        mask = codes == code
-        if y[mask].sum() == 0:
-            raise InfeasibleBalance(f"group {levels[code]!r} has no positives")
-        rates[code] = float(y[mask].mean())
-    target_rate = min(rates.values())
+    totals = np.bincount(codes, minlength=len(levels))
+    positives = np.bincount(codes[y == 1], minlength=len(levels))
+    present = np.flatnonzero(totals)  # the levels left after pruning
+    empty = present[positives[present] == 0]
+    if empty.size:
+        raise InfeasibleBalance(f"group {levels[empty[0]]!r} has no positives")
+    rates = positives[present] / totals[present]
+    target_rate = float(rates.min())
     keep = np.ones(len(pruned), dtype=bool)
-    for code in present:
-        if rates[code] <= target_rate:
-            continue
-        mask = codes == code
-        pos_idx = np.flatnonzero(mask & (y == 1))
+    for code in present[rates > target_rate]:
+        pos_idx = np.flatnonzero((codes == code) & (y == 1))
         # remove k positives so (pos - k)/(n - k) == target_rate; 0 <= k <= pos
-        k = round((pos_idx.size - target_rate * np.count_nonzero(mask)) / (1.0 - target_rate))
+        k = round((pos_idx.size - target_rate * int(totals[code])) / (1.0 - target_rate))
         gen = rng.child(f"rate-{levels[code]}").generator()
         keep[gen.choice(pos_idx, size=k, replace=False)] = False
     return pruned.subset(np.flatnonzero(keep))

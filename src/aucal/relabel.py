@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, au_sort_key, strata
+from .data import Dataset, strata
 from .errors import InsufficientData, InvalidCount
 from .rng import Rng
 
@@ -54,7 +54,7 @@ def relabel_to_parity(
     lies in [0, 1]. So the log's deficits stay empty; the field is kept so
     flip logs keep their bytes.
     """
-    keys = dataset.cell_keys(sorted(conditioning, key=au_sort_key))
+    keys = dataset.cell_keys(conditioning)
     levels = dataset.group_levels(group_attr)
     if len(levels) < 2:
         raise InsufficientData("need at least two group levels")
@@ -114,7 +114,7 @@ def balanced_subsample(
     logged as warnings."""
     if per_cell_count < 1:
         raise InvalidCount(f"per_cell_count must be >= 1, got {per_cell_count}")
-    keys = dataset.cell_keys(sorted(conditioning, key=au_sort_key))
+    keys = dataset.cell_keys(conditioning)
     codes = dataset.group_codes(group_attr)
     levels = dataset.group_levels(group_attr)
 

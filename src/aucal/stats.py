@@ -3,14 +3,18 @@ two-proportion z-test, and the contingency-table container.
 
 The incomplete gamma is implemented twice on purpose (power series and
 Lentz continued fractions): the two routes cross-validate each other and
-back the chi-square p-values with no external dependency.
+back the chi-square p-values with no external dependency. Each gamma
+function returns a probability for every a > 0 and x >= 0, by its own
+method where that method converges and the other route elsewhere; the
+cross-checks compare the two methods where each converges.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -20,15 +24,51 @@ _EPS = 1e-15
 _MAX_ITER = 10000
 
 
+def _check_domain(a: float, x: float) -> None:
+    # every route divides by a, and 1 / a overflows for a subnormal a
+    if x < 0 or a < sys.float_info.min:
+        raise OutOfDomain("require x >= 0 and a > 0 (a normal float)")
+
+
+def _regularized(total: float, a: float, x: float) -> float:
+    """total * x^a e^-x / Gamma(a), the last step of the series and both
+    fractions: 0 at x = 0, and capped at 1, since near a = 0 the series and
+    P's fraction can round past 1 or overflow where P is 1 to double precision."""
+    if x == 0.0:
+        return 0.0
+    return min(total * math.exp(-x + a * math.log(x) - math.lgamma(a)), 1.0)
+
+
+def _lentz(b: float, step: float, numerator: Callable[[int], float]) -> float:
+    """1 / (b + a_1 / (b + step + a_2 / (b + 2 step + ...))) with
+    a_i = numerator(i), by the modified Lentz method."""
+    tiny = 1e-300
+    c = 1.0 / tiny
+    d = 1.0 / (b or tiny)
+    h = d
+    for i in range(1, _MAX_ITER):
+        an = numerator(i)
+        b += step
+        d = an * d + b
+        if abs(d) < tiny:
+            d = tiny
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _EPS:
+            break
+    return h
+
+
 def lower_gamma_series(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x) by power series.
 
     Converges for all x >= 0; fastest for x < a + 1.
     """
-    if x < 0 or a <= 0:
-        raise OutOfDomain("require x >= 0 and a > 0")
-    if x == 0.0:
-        return 0.0
+    _check_domain(a, x)
     ap = a
     term = 1.0 / a
     total = term
@@ -38,84 +78,40 @@ def lower_gamma_series(a: float, x: float) -> float:
         total += term
         if abs(term) < abs(total) * _EPS:
             break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    return _regularized(total, a, x)
 
 
 def upper_gamma_cf(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) by the Legendre
-    continued fraction (modified Lentz). Accurate for x >= a + 1."""
-    if x < 0 or a <= 0:
-        raise OutOfDomain("require x >= 0 and a > 0")
-    if x == 0.0:
-        return 1.0
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / (b or tiny)
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    """Regularized upper incomplete gamma Q(a, x): the Legendre continued
+    fraction (modified Lentz) from x = a + 1 on, where it converges, and
+    1 - lower_gamma_series below."""
+    _check_domain(a, x)
+    if x < a + 1.0:
+        return 1.0 - lower_gamma_series(a, x)
+    return _regularized(_lentz(x + 1.0 - a, 2.0, lambda i: -i * (i - a)), a, x)
 
 
 def lower_gamma_cf(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) by its own continued
-    fraction (modified Lentz). Converges best for x < a + 1."""
-    if x < 0 or a <= 0:
-        raise OutOfDomain("require x >= 0 and a > 0")
-    if x == 0.0:
-        return 0.0
-    tiny = 1e-300
-    # gamma(a,x) = x^a e^-x * CF with a_1 = 1, b_1 = a,
-    # a_{2m} = -(a+m-1)x, a_{2m+1} = m x, b_n = a + n - 1.
-    b = a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
+    """Regularized lower incomplete gamma P(a, x): its own continued
+    fraction (modified Lentz) up to x = a + 1, where it converges best,
+    and 1 - upper_gamma_cf above."""
+    _check_domain(a, x)
+    if x > a + 1.0:
+        return 1.0 - upper_gamma_cf(a, x)
+
+    # gamma(a,x) = x^a e^-x * CF with a_1 = 1, b_1 = a, b_n = a + n - 1,
+    # a_{2m} = -(a+(m-1))x (a + m - 1.0 loses a near 0), a_{2m+1} = m x.
+    def numerator(i: int) -> float:
         m = (i + 1) // 2
-        if i % 2 == 1:
-            an = -(a + m - 1.0) * x
-        else:
-            an = m * x
-        b += 1.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+        return -(a + (m - 1)) * x if i % 2 == 1 else m * x
 
-
-def reg_upper_gamma(a: float, x: float) -> float:
-    """Q(a, x), choosing the numerically favorable route per region."""
-    if x < a + 1.0:
-        return 1.0 - lower_gamma_series(a, x)
-    return upper_gamma_cf(a, x)
+    return _regularized(_lentz(a, 1.0, numerator), a, x)
 
 
 def chi2_sf(x: float, dof: int) -> float:
     """Upper tail P(X >= x) of the chi-square distribution; the gamma
     routes refuse dof < 1 and x < 0 as OutOfDomain."""
-    return reg_upper_gamma(dof / 2.0, x / 2.0)
+    return upper_gamma_cf(dof / 2.0, x / 2.0)
 
 
 def sigmoid(eta: np.ndarray) -> np.ndarray:

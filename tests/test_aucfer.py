@@ -219,6 +219,13 @@ def test_total_loss_dimension_mismatch():
                    rng=Rng(0, ("m",)))
 
 
+@pytest.mark.parametrize("features", [np.zeros(7), np.zeros((1, 1, 7))])
+def test_predict_refuses_features_that_are_not_a_matrix(features):
+    params = init_params(7, 4, 2, Rng(0, ("p",)))
+    with pytest.raises(DimensionMismatch, match="2-d matrix"):
+        predict(params, features)
+
+
 def test_stratified_order_interleaves():
     keys = [_key(0, 0)] * 4 + [_key(1, 1)] * 4
     order = stratified_order(keys, Rng(0, ("s",)))

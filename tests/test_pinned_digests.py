@@ -1,9 +1,10 @@
 """SHA-256 digests of library results that the golden demo does not reach:
 the audit of 3- and 4-level groups under both small-level policies and both
-conditioning modes, per-group calibration with a degenerate level, and
-relabeling a dataset that holds a label other than 0 and 1. The digests
-were recorded once; a refactor that is meant to leave behaviour alone must
-leave them alone too."""
+conditioning modes, per-group calibration with a degenerate level,
+relabeling a dataset that holds a label other than 0 and 1, and the bits of
+the statistics kernels: chi2_sf on a grid and logistic_fit on seeded random
+designs, including those it refuses. The digests were recorded once; a
+refactor that is meant to leave behaviour alone must leave them alone too."""
 
 import dataclasses
 import hashlib
@@ -11,11 +12,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from aucal.audit import conditional_bias_report
+from aucal.audit import conditional_bias_report, logistic_fit
 from aucal.calibrate import calibrate_per_group
 from aucal.data import binarize
+from aucal.errors import Separation, SingularDesign
 from aucal.relabel import relabel_to_parity
 from aucal.report import canonical_json
+from aucal.stats import chi2_sf
 from aucal.synth import generate
 from conftest import biased_config
 
@@ -48,6 +51,7 @@ AUDIT = {
 }
 CALIBRATION = "b4cc15d0179737000b7e1b3671609d10d483ea9d67adbbb3fc6533c78157f023"
 RELABEL = "55f4620b25b12dc792e52f798774a0ebeb662a38d8332dbf9d67d66d6d4f15e8"
+KERNELS = "5aebfbce34f4e9d33cbff98a6eff600b1129590bddcc11e7df7ec29e49d8a322"
 
 
 def _digest(obj) -> str:
@@ -97,3 +101,48 @@ def test_relabel_with_label_two_digest():
     out = relabeled.labels()
     assert (out == 2).any() and ((labels == 2) & (out == 1)).any()
     assert _digest({"labels": out, "flips": log}) == RELABEL
+
+
+def _logistic_designs(count=200):
+    """Seeded designs in four kinds: well posed, completely separated,
+    quasi-completely separated (tied rows on both sides) and strong signal;
+    every 25th has a repeated column."""
+    gen = np.random.default_rng(30)
+    for i in range(count):
+        n = int(gen.integers(12, 60))
+        p = int(gen.integers(1, 4))
+        X = np.column_stack([np.ones(n), gen.normal(0.0, 1.0, (n, p))])
+        if i % 4 == 0:
+            y = (gen.random(n) < 1 / (1 + np.exp(-X @ gen.normal(0, 1, p + 1)))).astype(int)
+        elif i % 4 == 1:
+            y = (X[:, 1] > 0).astype(int)
+        elif i % 4 == 2:
+            X[:2, 1] = 0.0
+            y = (X[:, 1] > 0).astype(int)
+            y[:2] = [0, 1]
+        else:
+            y = (gen.random(n) < 1 / (1 + np.exp(-X @ gen.normal(0, 4, p + 1)))).astype(int)
+        if i % 25 == 24:
+            X = np.column_stack([X, X[:, 1]])
+        yield X, y
+
+
+def test_statistics_kernels_digest():
+    h = hashlib.sha256()
+    for dof in range(1, 9):
+        for x in np.arange(0.0, 60.25, 0.25):
+            h.update(np.float64(chi2_sf(float(x), dof)).tobytes())
+    outcomes = []
+    for X, y in _logistic_designs():
+        try:
+            fit = logistic_fit(X, y)
+        except (Separation, SingularDesign) as exc:
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+        else:
+            outcomes.append("fit")
+            h.update(fit.beta.tobytes() + fit.covariance.tobytes()
+                     + str(fit.iterations).encode("ascii"))
+    h.update("\n".join(outcomes).encode("utf-8"))
+    for kind in ("fit", "pinned", "no convergence", "SingularDesign"):
+        assert any(kind in outcome for outcome in outcomes), kind
+    assert h.hexdigest() == KERNELS

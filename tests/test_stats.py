@@ -1,7 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aucal.errors import InsufficientData, InvalidCounts, OutOfDomain
 from aucal.stats import (
@@ -9,7 +12,6 @@ from aucal.stats import (
     chi_square_independence,
     lower_gamma_cf,
     lower_gamma_series,
-    reg_upper_gamma,
     sigmoid,
     table_from_counts,
     two_proportion_test,
@@ -41,8 +43,8 @@ def test_gamma_dual_method_agreement():
 
 def test_gamma_limits():
     for a in A_GRID:
-        assert reg_upper_gamma(a, 0.0) == 1.0
-        assert reg_upper_gamma(a, 1e6) < 1e-12
+        assert upper_gamma_cf(a, 0.0) == 1.0
+        assert upper_gamma_cf(a, 1e6) < 1e-12
 
 
 def test_gamma_against_mpmath():
@@ -52,7 +54,7 @@ def test_gamma_against_mpmath():
             if x == 0.0:
                 continue
             ref = float(mp.gammainc(a, x, mp.inf, regularized=True))
-            got = reg_upper_gamma(a, x)
+            got = upper_gamma_cf(a, x)
             assert got == pytest.approx(ref, rel=1e-10, abs=1e-300)
 
 
@@ -68,6 +70,7 @@ def test_gamma_against_mpmath():
     lambda: lower_gamma_cf(0.0, 1.0),
     lambda: lower_gamma_cf(-0.5, 1.0),
     lambda: lower_gamma_cf(1.0, -0.5),
+    lambda: lower_gamma_series(5e-324, 1.0),  # 1 / a overflows
     lambda: chi2_sf(1.0, 0),
     lambda: chi2_sf(100.0, -2),
     lambda: chi2_sf(-1.0, 1),
@@ -91,8 +94,25 @@ def test_each_gamma_route_at_small_a_and_x():
         math.erfc(math.sqrt(x)) + 2 * math.sqrt(x / math.pi) * math.exp(-x), rel=1e-12)
     assert (lower_gamma_series(0.5, 0.0), upper_gamma_cf(0.5, 0.0),
             lower_gamma_cf(0.5, 0.0)) == (0.0, 1.0, 0.0)
-    # from x = a + 1 on, Q takes the continued fraction, whose last bits differ
-    assert reg_upper_gamma(7.0, 8.0) == upper_gamma_cf(7.0, 8.0) != 1.0 - lower_gamma_series(7.0, 8.0)
+    # at x = a + 1, Q takes its continued fraction and P its own, whose last
+    # bits differ from the other route's
+    assert upper_gamma_cf(7.0, 8.0) != 1.0 - lower_gamma_series(7.0, 8.0)
+    assert lower_gamma_cf(1.0, 2.0) != 1.0 - upper_gamma_cf(1.0, 2.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(sys.float_info.min, 60.0), st.floats(0.0, 200.0))
+@example(3.0, 1e-9)
+@example(2.0, 1e-9)
+@example(10.0, 0.5)
+@example(20.0, 3.0)  # the continued fraction alone gave Q = 1.0066 here
+@example(1e-200, 1.0)  # P's fraction overflows where P is 1 to double precision
+def test_each_gamma_function_is_a_probability_everywhere(a, x):
+    q, p = upper_gamma_cf(a, x), lower_gamma_cf(a, x)
+    assert 0.0 <= q <= 1.0 and 0.0 <= p <= 1.0
+    if x < a + 1.0:
+        assert q == 1.0 - lower_gamma_series(a, x)
+    assert abs(p + q - 1.0) <= 1e-10
 
 
 def test_sigmoid_clips_eta_at_35():
