@@ -67,15 +67,34 @@ class TrainConfig:
 
 @dataclass
 class TripletSet:
-    """Mined triples, one (anchor, positive, negative) row of batch
-    indices per triple. From mine_triplets, triples is the (N, 3)
-    transpose of a fresh contiguous (3, N) array: each column is
-    contiguous, and the caller may write to it."""
+    """Mined triples in the form triplet_loss gathers at: flat is a (2, N)
+    int64 array of flat indices into a batch x batch matrix, row 0 a*B+n
+    and row 1 a*B+p for each (anchor, positive, negative) triple, with
+    B = batch. From mine_triplets, flat is fresh and C-contiguous, and
+    the caller may write to it."""
 
-    triples: np.ndarray
+    flat: np.ndarray
+    batch: int
+
+    @classmethod
+    def of(cls, triples, batch: int) -> "TripletSet":
+        """The set of (N, 3) (anchor, positive, negative) rows of indices
+        into a batch of batch rows; IndexOutOfRange for an index outside
+        [0, batch)."""
+        t = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+        if t.size and (t.min() < 0 or t.max() >= batch):
+            raise IndexOutOfRange("triplet index outside the batch")
+        a = t[:, 0] * batch
+        return cls(np.stack((a + t[:, 2], a + t[:, 1])), batch)
+
+    @property
+    def triples(self) -> np.ndarray:
+        """The (N, 3) (anchor, positive, negative) rows, computed afresh."""
+        a, n = np.divmod(self.flat[0], self.batch)
+        return np.column_stack((a, self.flat[1] - a * self.batch, n))
 
     def __len__(self) -> int:
-        return len(self.triples)
+        return self.flat.shape[1]
 
 
 # the most mining plans kept at once. An epoch's batches repeat a few key
@@ -88,18 +107,24 @@ _PLANS = 128
 class _MiningPlan(NamedTuple):
     """Everything mine_triplets needs but its draws, for one batch's codes
     and cap. Each key with a pair is one block, in strata order, of an
-    (M, W) grid of pair numbers, W = min(cap, the largest pair count): a
-    capped key's block is its integers(0, count, (m, cap)) draw, listed in
-    blocks as (count, (m, cap)); an uncapped key's is a read-only view of
-    the constant rows 0..W-1. Over the grid these (M, 1) columns
-    broadcast: anchor (whose flat form also lists the positives), n_neg
-    (the key's negative count, a pair number's divisor), first (where the
-    key starts in anchor), own (the anchor's place there, skipped) and
-    neg_base (where the key starts in negatives, key after key). They are
-    views of one read-only buffer of at most (K + 4) * B ints for K keys
-    in a batch of B. keep is None unless an uncapped key has fewer than W
-    pairs; then it is the read-only flat mask of the grid's cells below
-    their key's count."""
+    (M, W) grid of pair numbers, W = min(cap, the largest pair count).
+    A run of consecutive capped keys with the same pair count takes one
+    integers(0, count, (sum of m, cap)) draw, listed in blocks as (count,
+    (sum of m, cap)); it gives the values of the keys' own (m, cap) draws
+    one after another, and leaves the stream where they would. In one
+    batch, equal counts mean equal sizes: (m - 1) * (B - m) is symmetric
+    about (B + 1) / 2, and two keys of sizes m and B + 1 - m would hold
+    more than B rows. A run of uncapped keys is a read-only view of the
+    constant rows 0..W-1, one row per anchor. Over the grid these (M, 1)
+    columns broadcast: anchor (whose flat form also lists the positives),
+    n_neg (the key's negative count, a pair number's divisor), first
+    (where the key starts in anchor), own (the anchor's place there,
+    skipped), neg_base (where the key starts in negatives, key after key)
+    and anchor_b (anchor * B, the anchor's row of the batch x batch
+    matrix). They are views of one read-only buffer of at most (K + 5) * B
+    ints for K keys in a batch of B. keep is None unless an uncapped key
+    has fewer than W pairs; then it is the read-only flat mask of the
+    grid's cells below their key's count."""
 
     blocks: tuple[tuple[int, tuple[int, int]] | np.ndarray, ...]
     anchor: np.ndarray
@@ -107,6 +132,7 @@ class _MiningPlan(NamedTuple):
     first: np.ndarray
     neg_base: np.ndarray
     own: np.ndarray
+    anchor_b: np.ndarray
     negatives: np.ndarray
     keep: np.ndarray | None
 
@@ -120,19 +146,27 @@ def _mining_plan(code_bytes: bytes, cap: int) -> _MiningPlan:
     m = np.array([members.size for _, members in paired], dtype=np.int64)
     count = (m - 1) * (b - m)  # pairs per anchor
     width = min(cap, int(count.max(initial=0)))
+    runs = []  # [pair count, or None for an uncapped key; anchors]
+    for c, k in zip(count.tolist(), m.tolist()):
+        c = c if c > cap else None
+        if runs and runs[-1][0] == c:
+            runs[-1][1] += k
+        else:
+            runs.append([c, k])
     rows = np.broadcast_to(np.arange(width), (b, width))  # read-only
-    blocks = [(c, (k, cap)) if c > cap else rows[:k]
-              for c, k in zip(count.tolist(), m.tolist())] or [rows[:0]]  # grid (0, 0)
+    blocks = tuple(rows[:k] if c is None else (c, (k, cap)) for c, k in runs) or (
+        rows[:0],)  # grid (0, 0)
     n_neg = b - m
     per_anchor = np.repeat([n_neg, np.cumsum(m) - m, np.cumsum(n_neg) - n_neg], m, axis=1)
     total = int(m.sum())
+    members = np.concatenate([members for _, members in paired] or [np.zeros(0, np.int64)])
     negatives = np.nonzero(np.not_equal.outer([code for code, _ in paired], codes))[1]
-    buf = np.concatenate((*[members for _, members in paired], per_anchor, np.arange(total),
-                          negatives), axis=None)
+    buf = np.concatenate((members, per_anchor, np.arange(total), members * b, negatives),
+                         axis=None)
     keep = np.repeat(np.arange(width) < count[:, None], m, axis=0).ravel()
     buf.flags.writeable = keep.flags.writeable = False
-    return _MiningPlan(tuple(blocks), *buf[:5 * total].reshape(5, total, 1),
-                       buf[5 * total:], None if keep.all() else keep)
+    return _MiningPlan(blocks, *buf[:6 * total].reshape(6, total, 1),
+                       buf[6 * total:], None if keep.all() else keep)
 
 
 def mine_triplets(
@@ -143,33 +177,36 @@ def mine_triplets(
     count exceeds cap keep cap pairs drawn uniformly with replacement.
     Triples are anchor-major (keys in strata order, anchors in row order),
     pairs are numbered positive-major with the anchor skipped, and each
-    capped key takes one integers(0, count, (m, cap)) draw, in that order.
+    capped key's pairs are its anchors' rows of one integers(0, count,
+    (m, cap)) draw, in that order; a run of capped keys with equal counts
+    shares one draw, which gives the same values.
 
     Everything but the draws depends only on the batch's codes and cap, so it
     is planned once per (codes, cap) and reused (_mining_plan keeps the last
-    _PLANS plans). Per call: the stream's generator, the capped keys' draws
-    and the uncapped keys' constant rows stacked into one (M, W) grid of
-    pair numbers, one divmod of it into positive rank and negative, the
-    skip-self add and two gathers into a fresh contiguous (3, M * W)
-    array, the cells past an uncapped key's count dropped when there are
-    any, returned as its (N, 3) transpose."""
+    _PLANS plans). Per call: the stream's generator, one draw per run of
+    capped keys and the uncapped keys' constant rows stacked into one
+    (M, W) grid of pair numbers, one divmod of it into positive rank and
+    negative, the skip-self add, two gathers into a fresh contiguous
+    (2, M, W) array and one add of the anchors' a*B column over both rows,
+    the cells past an uncapped key's count dropped when there are any. So
+    the set comes out in the flat form triplet_loss reads."""
     codes = CellKeys.of(batch_au_keys).codes
     plan = _mining_plan(codes.astype(np.int64, copy=False).tobytes(), cap)
     gen = rng.generator()  # keys are visited in a fixed order
     grid = np.concatenate([gen.integers(0, *block) if isinstance(block, tuple) else block
                            for block in plan.blocks])
-    out = np.empty((3, *grid.shape), dtype=np.int64)
+    out = np.empty((2, *grid.shape), dtype=np.int64)
     q, r = np.divmod(grid, plan.n_neg, out=(grid, out[1]))  # r lent out[1] a while
     r += plan.neg_base
-    np.take(plan.negatives, r, out=out[2], mode="clip")  # every index is in range
+    np.take(plan.negatives, r, out=out[0], mode="clip")  # every index is in range
     q += plan.first
     q += q >= plan.own  # positives at or past the anchor's rank shift
     np.take(plan.anchor, q, out=out[1], mode="clip")  # a dropped cell's may not be
-    out[0] = plan.anchor
-    out = out.reshape(3, -1)
+    out += plan.anchor_b
+    out = out.reshape(2, -1)
     if plan.keep is not None:  # compress, not out[:, keep]: the result stays contiguous
         out = out.compress(plan.keep, axis=1)
-    return TripletSet(out.T)
+    return TripletSet(out, codes.size)
 
 
 def triplet_loss(
@@ -181,28 +218,27 @@ def triplet_loss(
     """Hinge on squared-distance gaps, summed over mined triples (or
     averaged with reduction='mean'); returns the loss and its gradient
     with respect to the embeddings. Squared distances come from one Gram
-    matrix, |a|^2 + |b|^2 - 2 a.b, read at one 2N flat-index array: a*B+n
-    for every triple, then a*B+p. The gradient is 2 * scale * C @ emb,
-    where each active triple (a, p, n) adds +1 at C[a, n], C[p, p], C[n, a]
-    and -1 at C[a, p], C[p, a], C[n, n]. C is built as D + D^T -
-    diag(colsum D) from the signed count matrix D (+1 at D[a, n], -1 at
-    D[a, p]), one bincount over the same flat indices with the weights
-    written over the gathered distances: the same +-1 terms regrouped, and
-    every entry an integer, so C is exact."""
+    matrix, |a|^2 + |b|^2 - 2 a.b, read at the set's 2N flat indices as
+    they are: a*B+n for every triple, then a*B+p. The gradient is
+    2 * scale * C @ emb, where each active triple (a, p, n) adds +1 at
+    C[a, n], C[p, p], C[n, a] and -1 at C[a, p], C[p, a], C[n, n]. C is
+    built as D + D^T - diag(colsum D) from the signed count matrix D (+1
+    at D[a, n], -1 at D[a, p]), one bincount over the same flat indices
+    with the weights written over the gathered distances: the same +-1
+    terms regrouped, and every entry an integer, so C is exact.
+    IndexOutOfRange when the set indexes a batch of another size."""
     emb = np.asarray(embeddings, dtype=float)
-    t = triplets.triples
-    if t.size == 0:
+    b = emb.shape[0]
+    if triplets.batch != b:
+        raise IndexOutOfRange(f"triplets index a batch of {triplets.batch} rows, "
+                              f"not of {b}")
+    flat = triplets.flat.reshape(-1)
+    n = flat.size // 2
+    if n == 0:
         return 0.0, np.zeros_like(emb)
-    b, n = emb.shape[0], len(t)
-    if t.min() < 0 or t.max() >= b:
-        raise IndexOutOfRange("triplet index outside the batch")
     sq = (emb * emb).sum(axis=1)
     dist = sq[:, None] + sq[None]
     dist -= 2.0 * (emb @ emb.T)
-    flat = np.empty(2 * n, dtype=np.int64)
-    np.multiply(t[:, 0], b, out=flat[:n])
-    np.add(flat[:n], t[:, 1], out=flat[n:])
-    flat[:n] += t[:, 2]
     gathered = np.take(dist, flat)
     hinge = gathered[n:] - gathered[:n]
     hinge += margin
@@ -314,24 +350,49 @@ def init_params(
     )
 
 
+# the most key sets whose epoch order is planned at once; train plans one
+_ORDERS = 4
+
+
+@functools.lru_cache(maxsize=_ORDERS)
+def _order_plan(au_ids: tuple[str, ...], code_bytes: bytes
+                ) -> tuple[tuple[str, ...], tuple[np.ndarray, ...], np.ndarray]:
+    """For the keys whose codes are the int64 bytes code_bytes: each key's
+    stream label and pool (its rows, ascending, read-only), in strata
+    order, and the interleave, the permutation that deals the pools'
+    reversed rows out round-robin once they are laid end to end."""
+    keys = CellKeys(au_ids, np.frombuffer(code_bytes, dtype=np.int64))
+    labels, pools, rounds = [], [], [np.zeros(0, dtype=np.int64)]
+    for code, idx in strata(keys.codes):
+        labels.append(f"key-{keys.key(code).describe()}")
+        idx.flags.writeable = False
+        pools.append(idx)
+        rounds.append(np.arange(idx.size))
+    interleave = np.argsort(np.concatenate(rounds), kind="stable")
+    interleave.flags.writeable = False
+    return tuple(labels), tuple(pools), interleave
+
+
 def stratified_order(keys: Sequence[AuCellKey], rng: Rng) -> np.ndarray:
     """AU-key-stratified shuffle: shuffle within each key, then interleave
     the keys round-robin so every batch sees multiple keys whenever the
     data has them. The shuffles move rows within a key's pool, but the
     pools' sizes alone fix the interleave, so keys.codes[order] is the
     same in every epoch, and so is each batch's key pattern: the plans
-    mine_triplets caches are reused across batches and epochs."""
+    mine_triplets caches are reused across batches and epochs. All but
+    the shuffles is planned once per key set (_order_plan keeps the last
+    _ORDERS): per call, each key's pool is copied and shuffled by its own
+    stream, and the reversed pools are gathered through the interleave."""
     keys = CellKeys.of(keys)
-    pools = [np.zeros(0, dtype=np.int64)]
-    rounds = [np.zeros(0, dtype=np.int64)]
-    for code, idx in strata(keys.codes):
-        gen = rng.child(f"key-{keys.key(code).describe()}").generator()
-        gen.shuffle(idx)
+    labels, pools, interleave = _order_plan(
+        keys.au_ids, keys.codes.astype(np.int64, copy=False).tobytes())
+    shuffled = [np.zeros(0, dtype=np.int64)]
+    for label, pool in zip(labels, pools):
+        idx = pool.copy()
+        rng.child(label).generator().shuffle(idx)
         # each round takes one row from every pool, from the pool's end
-        pools.append(idx[::-1])
-        rounds.append(np.arange(idx.size))
-    order = np.concatenate(pools)
-    return order[np.argsort(np.concatenate(rounds), kind="stable")]
+        shuffled.append(idx[::-1])
+    return np.concatenate(shuffled)[interleave]
 
 
 @dataclass

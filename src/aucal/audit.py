@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import AU_MAX, AU_MIN, Dataset, au_sort_key
-from .errors import InvalidConfig, Separation, SingularDesign
+from .errors import InvalidConfig, Separation, SingularDesign, holds
 from .stats import (
     InsufficientData,
     chi_square_independence,
@@ -257,8 +257,12 @@ def conditional_bias_report(
     intensities and group indicators.
 
     Label 1 is the positive class, against every other label. Delta
-    convention: second declared group level minus first.
+    convention: second declared group level minus first. InvalidConfig
+    unless min_expected is a finite number >= 0.
     """
+    if not holds(min_expected, float) or min_expected < 0:
+        raise InvalidConfig(f"min_expected must be a finite number >= 0, "
+                            f"not {min_expected!r}")
     levels = dataset.group_levels(group_attr)
     if small_level_policy == "merge" and "other" in levels:
         raise InvalidConfig(f"group attribute {group_attr!r} has a level named "

@@ -56,25 +56,10 @@ def calibrate_global(
     return best_threshold(x, y, threshold_grid(x, (AU_MIN, AU_MAX)))
 
 
-def accuracy_parity_check(
-    predicted_presence: Sequence[int],
-    truth_presence: Sequence[int],
-    groups: Sequence[str],
-) -> ParityCheck:
-    """Per-level accuracy/F1 plus a two-proportion z-test on the accuracy
-    counts (pairwise matrix for more than two levels)."""
-    pred = np.asarray(predicted_presence, dtype=int)
-    truth = np.asarray(truth_presence, dtype=int)
-    grp = np.asarray(groups)
-    if not (pred.size == truth.size == grp.size):
-        raise LengthMismatch("predicted/truth/groups lengths differ")
-    levels, codes = np.unique(grp, return_inverse=True)
-    return _parity(pred, truth, levels.tolist(), codes)
-
-
 def _parity(pred: np.ndarray, truth: np.ndarray, levels: list, codes: np.ndarray) -> ParityCheck:
-    """accuracy_parity_check over the levels that hold a row; row i's level
-    is levels[codes[i]]."""
+    """Per-level accuracy/F1 plus a two-proportion z-test on the accuracy
+    counts of every pair of levels, over the levels that hold a row; row
+    i's level is levels[codes[i]]."""
     totals = np.bincount(codes, minlength=len(levels)).tolist()
     correct = np.bincount(codes[pred == truth], minlength=len(levels)).tolist()
     held = [k for k, total in enumerate(totals) if total]

@@ -146,8 +146,10 @@ def chi_square_independence(
 ) -> tuple[float, int, float]:
     """Pearson chi-square test of independence.
 
-    Raises InsufficientData when any expected count falls below
-    min_expected (the table is too sparse for the asymptotic test).
+    Raises InsufficientData when a row or column sums to 0, whatever
+    min_expected is (such a table carries no evidence, and its expected
+    counts of 0 would divide 0 by 0), or when any expected count falls
+    below min_expected (the table is too sparse for the asymptotic test).
     """
     counts = table.counts.astype(float)
     total = counts.sum()
@@ -161,6 +163,8 @@ def chi_square_independence(
             f"expected count below {min_expected} "
             f"(min {expected.min():.3g})"
         )
+    if not (row_sums.all() and col_sums.all()):
+        raise InsufficientData("a row or column of the table sums to 0")
     stat = float(((counts - expected) ** 2 / expected).sum())
     dof = (counts.shape[0] - 1) * (counts.shape[1] - 1)
     p = chi2_sf(stat, dof)

@@ -91,6 +91,14 @@ def small_dataset():
     return dataset_of(recs, ["AU6", "AU12"])
 
 
+# 40 rows in two AU6 cells of 10 F and 10 M rows each; the AU6 = 0 cell
+# holds no positive label, so its label-by-group table has an empty column
+NO_POSITIVES_BELOW = "".join(
+    ["id,AU6,label,gender\n"]
+    + [f"r{i},{1.0 if i < 20 else 3.5},{0 if i < 20 else i // 2 % 2},{'FM'[i % 2]}\n"
+       for i in range(40)])
+
+
 def biased_config(seed=0, n=20000, beta_f=1.0, feature_dim=0, leak=0,
                   test_fraction=0.0):
     return SynthConfig(

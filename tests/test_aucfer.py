@@ -82,7 +82,7 @@ def test_mine_deterministic():
 def test_triplet_loss_simple_value():
     # d_ap = 0, d_an = 1, margin 4 -> hinge = 0 - 1 + 4 = 3
     emb = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-    t = TripletSet(np.array([[0, 1, 2]]))
+    t = TripletSet.of(np.array([[0, 1, 2]]), 3)
     loss, grad = triplet_loss(emb, t, margin=4.0)
     assert loss == pytest.approx(3.0)
     # anchor grad = 2(n - p), positive grad = -2(a - p), negative = 2(a - n)
@@ -93,7 +93,7 @@ def test_triplet_loss_simple_value():
 
 def test_triplet_loss_inactive():
     emb = np.array([[0.0], [0.1], [5.0]])
-    t = TripletSet(np.array([[0, 1, 2]]))
+    t = TripletSet.of(np.array([[0, 1, 2]]), 3)
     loss, grad = triplet_loss(emb, t, margin=0.2)
     assert loss == 0.0
     assert np.all(grad == 0.0)
@@ -101,7 +101,7 @@ def test_triplet_loss_inactive():
 
 def test_triplet_loss_mean_reduction():
     emb = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-    t = TripletSet(np.array([[0, 1, 2], [1, 0, 2]]))
+    t = TripletSet.of(np.array([[0, 1, 2], [1, 0, 2]]), 3)
     loss_sum, grad_sum = triplet_loss(emb, t, margin=4.0, reduction="sum")
     loss_mean, grad_mean = triplet_loss(emb, t, margin=4.0, reduction="mean")
     assert loss_mean == pytest.approx(loss_sum / 2)
@@ -111,7 +111,11 @@ def test_triplet_loss_mean_reduction():
 def test_triplet_loss_out_of_range():
     emb = np.zeros((3, 2))
     with pytest.raises(IndexOutOfRange):
-        triplet_loss(emb, TripletSet(np.array([[0, 1, 3]])), margin=0.2)
+        TripletSet.of(np.array([[0, 1, 3]]), 3)
+    with pytest.raises(IndexOutOfRange):
+        TripletSet.of(np.array([[0, -1, 2]]), 3)
+    with pytest.raises(IndexOutOfRange):  # a set for a batch of another size
+        triplet_loss(emb, TripletSet.of(np.array([[0, 1, 3]]), 4), margin=0.2)
 
 
 def test_triplet_gradient_finite_difference():

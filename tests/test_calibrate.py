@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from aucal.calibrate import (
     CalibrationResult,
     ParityCheck,
-    accuracy_parity_check,
     calibrate_global,
     calibrate_per_group,
 )
@@ -85,7 +84,7 @@ def test_calibrate_per_group_errors():
     with pytest.raises(LengthMismatch):
         calibrate_per_group([1, 2], [0, 1], ["F"])
     with pytest.raises(LengthMismatch):
-        accuracy_parity_check([1, 0], [0, 1], ["F"])
+        calibrate_per_group([1, 2], [0, 1, 1], ["F", "M"])
     with pytest.raises(EmptyInput):
         calibrate_per_group([], [], [])
 
@@ -161,38 +160,46 @@ def test_permutation_invariance():
     assert base.parity_p_value == shuffled.parity_p_value
 
 
+def _scored_levels(**counts):
+    """Intensities, truths and groups in which each level's calibrated
+    threshold lies between 1.0 and 4.0 and gets right of its right + wrong
+    rows right, for counts level=(right, wrong): the right rows are truth
+    1 at 4.0 and truth 0 at 1.0, the wrong ones truth 1 at 1.0 and truth
+    0 at 4.0, about half each."""
+    x, y, groups = [], [], []
+    for level, (right, wrong) in counts.items():
+        for n, high, low in ((right, (4.0, 1), (1.0, 0)), (wrong, (1.0, 1), (4.0, 0))):
+            rows = [high] * (n - n // 2) + [low] * (n // 2)
+            x += [v for v, _ in rows]
+            y += [t for _, t in rows]
+            groups += [level] * n
+    return x, y, groups
+
+
 def test_accuracy_parity_equal_proportions():
-    pred = [1] * 90 + [0] * 10 + [1] * 90 + [0] * 10
-    truth = [1] * 100 + [1] * 100
-    groups = ["A"] * 100 + ["B"] * 100
-    check = accuracy_parity_check(pred, truth, groups)
-    assert check.p_value == 1.0
-    assert check.per_group_accuracy == {"A": 0.9, "B": 0.9}
+    result = calibrate_per_group(*_scored_levels(A=(90, 10), B=(90, 10)))
+    assert result.parity_p_value == 1.0
+    assert result.per_group_accuracy == {"A": 0.9, "B": 0.9}
 
 
 def test_accuracy_parity_close_proportions():
     # 859/1000 vs 860/1000 correct: nowhere near significant
-    pred = ([1] * 859 + [0] * 141) + ([1] * 860 + [0] * 140)
-    truth = [1] * 2000
-    groups = ["A"] * 1000 + ["B"] * 1000
-    check = accuracy_parity_check(pred, truth, groups)
-    assert check.p_value > 0.9
+    result = calibrate_per_group(*_scored_levels(A=(859, 141), B=(860, 140)))
+    assert result.per_group_accuracy == {"A": 0.859, "B": 0.86}
+    assert result.parity_p_value > 0.9
 
 
 def test_accuracy_parity_strong_difference():
-    pred = ([1] * 700 + [0] * 300) + ([1] * 900 + [0] * 100)
-    truth = [1] * 2000
-    groups = ["A"] * 1000 + ["B"] * 1000
-    check = accuracy_parity_check(pred, truth, groups)
-    assert check.p_value < 1e-6
+    result = calibrate_per_group(*_scored_levels(A=(700, 300), B=(900, 100)))
+    assert result.parity_p_value < 1e-6
 
 
 def test_accuracy_parity_k_levels():
-    pred = [1, 0, 1, 0, 1, 1]
-    truth = [1, 1, 1, 1, 1, 1]
-    groups = ["A", "A", "B", "B", "C", "C"]
-    check = accuracy_parity_check(pred, truth, groups)
-    assert set(check.pairwise_p) == {("A", "B"), ("A", "C"), ("B", "C")}
+    # every pair is tested: the smallest p is A's against C's, not a neighbour's
+    result = calibrate_per_group(*_scored_levels(A=(6, 2), B=(7, 1), C=(8, 0)))
+    assert result.per_group_accuracy == {"A": 0.75, "B": 0.875, "C": 1.0}
+    assert result.parity_p_value == two_proportion_test(6, 8, 8, 8)
+    assert result.parity_p_value < two_proportion_test(6, 8, 7, 8)
 
 
 def _reference_best_threshold(values, labels, grid):
@@ -295,9 +302,6 @@ def test_calibration_keeps_the_reference_bits(case):
     assert repr(calibrate_per_group(x, y, grp, au_id="AU6")) == repr(want)
     assert repr(calibrate_per_group(x.tolist(), y.tolist(), grp.tolist(),
                                     au_id="AU6")) == repr(want)
-    pred = (x > 2.5).astype(int)
-    assert repr(accuracy_parity_check(pred, y, grp)) \
-        == repr(_reference_parity_check(pred, y, grp))
     if y.min() != y.max():
         assert repr(select_threshold(x, y)) == repr(_reference_select_threshold(x, y))
         assert repr(select_threshold(-x, y)) == repr(_reference_select_threshold(-x, y))

@@ -8,7 +8,7 @@ import pytest
 from aucal.cli import demo_synth_config, run
 from aucal.data import CsvSchema, load_dataset
 from aucal.report import file_digest
-from conftest import rows_of
+from conftest import NO_POSITIVES_BELOW, rows_of
 
 
 def _synth_config_file(tmp_path, seed=3, n=600, feature_dim=12, leak=4,
@@ -145,6 +145,26 @@ def test_audit_and_train_flags_take_effect(tmp_path, command, flags, holds):
                 "--condition", "AU6,AU12", *flags, "--out", str(out)]) == 0
     payload = json.loads(out.read_text(encoding="utf-8"))
     assert holds(payload.get("report", payload))
+
+
+@pytest.mark.parametrize("min_expected, code", [("0", 0), ("-3", 1), ("nan", 1)])
+def test_audit_tests_no_cell_without_a_statistic(tmp_path, capsys, min_expected, code):
+    """The AU6 = 0 cell holds no positive label, so its table has an empty
+    column and carries no evidence: at --min-expected 0 it is not tested,
+    and a negative or non-finite --min-expected is refused."""
+    data, out = tmp_path / "data.csv", tmp_path / "audit.json"
+    data.write_text(NO_POSITIVES_BELOW, encoding="utf-8")
+    assert run(["audit", "--data", str(data), "--condition", "AU6", "--thresholds",
+                "AU6=2.5", f"--min-expected={min_expected}", "--out", str(out)]) == code
+    if code:
+        assert "min_expected must be a finite number >= 0" in capsys.readouterr().err
+        assert not out.exists()
+        return
+    cells = {c["condition"]: c for c in json.loads(out.read_text(encoding="utf-8"))
+             ["report"]["cells"]}
+    assert cells["AU6=0"]["status"] == "insufficient_data"
+    assert cells["AU6=0"]["chi_square"] is None and cells["AU6=0"]["p_value"] is None
+    assert cells["AU6=1"]["status"] == "tested" and cells["AU6=1"]["p_value"] == 1
 
 
 def test_train_eval_round_trip(tmp_path, capsys):

@@ -5,6 +5,8 @@
   the rows the flip log names change label;
 - audit, relabel, train, calibrate and eval exit with 0, 1 or 2 on CSV text
   of mostly valid cells, and never raise;
+- an audit that exits 0 gives every tested cell a finite chi-square and a
+  p-value in [0, 1];
 - eval exits with 0, 1 or 2 on a saved model with one field changed, and
   never raises, with numpy's RuntimeWarnings raised as errors;
 - compare and synth exit with 0, 1 or 2 on any JSON value and on valid
@@ -14,17 +16,18 @@
 import csv
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aucal.cli import run
 from aucal.relabel import relabel_to_parity
-from conftest import Row, dataset_of
+from conftest import NO_POSITIVES_BELOW, Row, dataset_of
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -137,6 +140,25 @@ def test_cli_exits_0_1_or_2_on_generated_csv(model, text):
         ]
         for argv in commands:
             assert run(argv) in (0, 1, 2), argv[0]
+
+
+@SETTINGS
+@given(text=csv_text(), min_expected=st.sampled_from(["0", "5"]))
+@example(text=NO_POSITIVES_BELOW, min_expected="0")
+def test_audit_tests_a_cell_only_with_a_statistic(text, min_expected):
+    with tempfile.TemporaryDirectory() as tmp:
+        data, out = Path(tmp) / "data.csv", Path(tmp) / "audit.json"
+        data.write_text(text, encoding="utf-8")
+        code = run(["audit", "--data", str(data), "--condition", "AU6", "--thresholds",
+                    "AU6=2.5", "--min-expected", min_expected, "--out", str(out)])
+        assert code in (0, 1, 2)
+        if code == 0:
+            for cell in json.loads(out.read_text(encoding="utf-8"))["report"]["cells"]:
+                if cell["status"] == "tested":
+                    assert isinstance(cell["chi_square"], (int, float))
+                    assert math.isfinite(cell["chi_square"])
+                    assert isinstance(cell["p_value"], (int, float))
+                    assert 0 <= cell["p_value"] <= 1
 
 
 MODEL_VALUES = st.one_of(

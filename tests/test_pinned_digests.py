@@ -1,9 +1,10 @@
 """SHA-256 digests of library results that the golden demo does not reach:
 the audit of 3- and 4-level groups under both small-level policies and both
 conditioning modes, per-group calibration with a degenerate level,
-relabeling a dataset that holds a label other than 0 and 1, and the bits of
-the statistics kernels: chi2_sf on a grid and logistic_fit on seeded random
-designs, including those it refuses. The digests were recorded once; a
+relabeling a dataset that holds a label other than 0 and 1, the bits of
+the statistics kernels (chi2_sf on a grid and logistic_fit on seeded random
+designs, including those it refuses) and triplet training on 16 AU cells of
+unequal sizes. The digests were recorded once; a
 refactor that is meant to leave behaviour alone must leave them alone too."""
 
 import dataclasses
@@ -12,15 +13,17 @@ import hashlib
 import numpy as np
 import pytest
 
+from aucal.aucfer import TrainConfig, stratified_order, train
 from aucal.audit import conditional_bias_report, logistic_fit
 from aucal.calibrate import calibrate_per_group
 from aucal.data import binarize
 from aucal.errors import Separation, SingularDesign
 from aucal.relabel import relabel_to_parity
 from aucal.report import canonical_json
+from aucal.rng import Rng
 from aucal.stats import chi2_sf
 from aucal.synth import generate
-from conftest import biased_config
+from conftest import Row, biased_config, dataset_of
 
 AUS = ["AU6", "AU12"]
 
@@ -52,6 +55,10 @@ AUDIT = {
 CALIBRATION = "b4cc15d0179737000b7e1b3671609d10d483ea9d67adbbb3fc6533c78157f023"
 RELABEL = "55f4620b25b12dc792e52f798774a0ebeb662a38d8332dbf9d67d66d6d4f15e8"
 KERNELS = "5aebfbce34f4e9d33cbff98a6eff600b1129590bddcc11e7df7ec29e49d8a322"
+TRAINING = {
+    64: "a46d89f25ec00acb023d87edf0ca461e9201729a55b18daca5523530fb6e24b9",
+    7: "42a759397270e6a14d9ae98af8c3416313a0d0e192f06f93fe4879e45db96988",
+}
 
 
 def _digest(obj) -> str:
@@ -146,3 +153,43 @@ def test_statistics_kernels_digest():
     for kind in ("fit", "pinned", "no convergence", "SingularDesign"):
         assert any(kind in outcome for outcome in outcomes), kind
     assert h.hexdigest() == KERNELS
+
+
+# rows per AU cell, the cell's code read as the bits of AU1, AU2, AU4, AU5.
+# The round-robin order gives batches of keys one or two rows apart in size,
+# and 1,030 rows in batches of 128 leave a last batch of 6 whose keys hold
+# 3, 2 and 1 rows: 6 and 4 pairs per anchor, so at either cap they keep
+# every pair, the second key fewer than the first
+CELL_ROWS = (75, 42, 107, 105, 25, 37, 37, 36, 72, 51, 63, 40, 105, 80, 79, 76)
+CELL_AUS = ("AU1", "AU2", "AU4", "AU5")
+
+
+def _sixteen_cells():
+    gen = np.random.default_rng(31)
+    codes = gen.permutation(np.repeat(np.arange(16), CELL_ROWS))
+    bits = (codes[:, None] >> np.arange(3, -1, -1)) & 1
+    labels = (gen.random(codes.size) < 0.2 + 0.04 * codes).astype(int)
+    female = gen.random(codes.size) < 0.5
+    features = gen.normal(0.0, 1.0, (codes.size, 6)) + 0.8 * labels[:, None]
+    rows = [Row(id=f"r{i}", au_intensities=dict(zip(CELL_AUS, (3.0 * b + 0.5).tolist())),
+                label=int(labels[i]), group={"gender": "F" if female[i] else "M"},
+                au_presence=dict(zip(CELL_AUS, b.tolist())), features=features[i])
+            for i, b in enumerate(bits)]
+    return dataset_of(rows, CELL_AUS, feature_dim=6)
+
+
+@pytest.mark.parametrize("cap", sorted(TRAINING))
+def test_triplet_training_on_unequal_cells_digest(cap):
+    dataset = _sixteen_cells()
+    keys = dataset.cell_keys(CELL_AUS)
+    last = keys.codes[stratified_order(keys, Rng(0))][-(len(keys) % 128):]
+    assert sorted(np.unique(last, return_counts=True)[1].tolist()) == [1, 2, 3]
+    result = train(dataset, TrainConfig(lam=10.0, epochs=3, seed=5,
+                                        max_triplets_per_anchor=cap), CELL_AUS)
+    h = hashlib.sha256()
+    for value in vars(result.params).values():
+        h.update(value.tobytes())
+    for epoch in result.loss_trace:
+        h.update(np.array([epoch.total, epoch.cross_entropy, epoch.triplet]).tobytes()
+                 + str(epoch.n_triplets).encode("ascii"))
+    assert h.hexdigest() == TRAINING[cap]

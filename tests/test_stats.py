@@ -149,6 +149,14 @@ def test_chi_square_too_sparse(counts, message):
         chi_square_independence(ContingencyTable(("a", "b"), ("x", "y"), np.array(counts)))
 
 
+@pytest.mark.parametrize("min_expected", [0.0, -3.0, float("nan")])
+@pytest.mark.parametrize("counts", [[[3, 0], [5, 0]], [[3, 4], [0, 0]]])
+def test_chi_square_refuses_an_empty_margin_whatever_min_expected(counts, min_expected):
+    with pytest.raises(InsufficientData, match="sums to 0"):
+        chi_square_independence(ContingencyTable(("a", "b"), ("x", "y"), np.array(counts)),
+                                min_expected=min_expected)
+
+
 def test_chi_square_tests_expected_counts_of_exactly_min_expected():
     assert chi_square_independence(table_from_counts(["a", "b"], [5, 5], [10, 10])) == (0.0, 1, 1.0)
 

@@ -6,10 +6,12 @@ batch-level `mine_triplets` must return the same triples in the same
 order from the same random stream: the trained models, and so the golden
 digests, depend on every draw. It numbers every key's pairs in one grid,
 a capped key's draw beside an uncapped key's constant rows 0..W-1 cut at
-its pair count, so batches that mix the two are checked as well. It plans
-everything but the draws once per batch key pattern and cap, so the same
-must hold on every later visit of a pattern, whatever the caller did to
-the triples it was given.
+its pair count, so batches that mix the two are checked as well. A run of
+neighbouring capped keys with equal pair counts shares one draw, so
+batches where a key of another size splits such a run are checked too. It
+plans everything but the draws once per batch key pattern and cap, so the
+same must hold on every later visit of a pattern, whatever the caller did
+to the flat indices it was given.
 
 `triplet_loss` reads its hinges from one Gram-form squared-distance
 matrix, |a|^2 + |b|^2 - 2 a.b, and takes its gradient as
@@ -67,8 +69,8 @@ def _reference_mine(batch_au_keys, cap, rng):
                 nk = negatives[draws[i] % negatives.size]
             triples.append(np.column_stack((np.full(pj.size, anchor), pj, nk)))
     if not triples:
-        return TripletSet(np.zeros((0, 3), dtype=np.int64))
-    return TripletSet(np.concatenate(triples, axis=0))
+        return TripletSet.of(np.zeros((0, 3), dtype=np.int64), codes.size)
+    return TripletSet.of(np.concatenate(triples, axis=0), codes.size)
 
 
 def _gram_hinges(emb, t, margin):
@@ -152,7 +154,14 @@ def batches(draw):
     return [_key(code) for code in rows], draw(st.integers(0, 2**32 - 1))
 
 
+# keys of 3, 3, 2 and 3 rows, all capped at 7: the first two keys' pair
+# counts are equal and they share one draw, but the last key's equal count
+# must take a draw of its own after the 2-row key's
+SPLIT_RUN = [_key(code) for code in (3, 0, 1, 2, 0, 1, 3, 0, 1, 2, 3)]
+
+
 @settings(max_examples=80, deadline=None)
+@example(batch=(SPLIT_RUN, 7), cap=7, reduction="sum", margin=0.2, d=3)
 @given(
     batch=batches(),
     cap=st.sampled_from(CAPS),
@@ -165,7 +174,8 @@ def test_batch_level_triplet_term_matches_reference(batch, cap, reduction,
     keys, seed = batch
     got = mine_triplets(keys, cap, Rng(seed, ("mine",)))
     want = _reference_mine(keys, cap, Rng(seed, ("mine",)))
-    assert got.triples.dtype == np.int64
+    assert got.flat.dtype == np.int64 and got.batch == len(keys)
+    assert np.array_equal(got.flat, want.flat)
     assert np.array_equal(got.triples, want.triples)
 
     gen = np.random.default_rng(seed)
@@ -204,9 +214,9 @@ def test_planned_mining_matches_reference_on_every_visit(case):
         keys = patterns[which]
         got = mine_triplets(keys, cap, Rng(seed, ("mine",)))
         want = _reference_mine(keys, cap, Rng(seed, ("mine",)))
-        assert np.array_equal(got.triples, want.triples)
-        assert got.triples.T.flags.c_contiguous
-        got.triples[...] = -1
+        assert np.array_equal(got.flat, want.flat) and got.batch == want.batch
+        assert got.flat.flags.c_contiguous and got.flat.flags.writeable
+        got.flat[...] = -1
         plan = aucfer._mining_plan(CellKeys.of(keys).codes.tobytes(), cap)
         for array in (item for field in plan
                       for item in (field if isinstance(field, tuple) else (field,))):
@@ -217,9 +227,14 @@ def test_planned_mining_matches_reference_on_every_visit(case):
     assert aucfer._mining_plan.cache_info().currsize <= aucfer._PLANS
 
 
+def test_runs_of_equal_count_capped_keys_share_one_draw():
+    plan = aucfer._mining_plan(CellKeys.of(SPLIT_RUN).codes.tobytes(), 7)
+    assert plan.blocks == ((16, (6, 7)), (9, (2, 7)), (16, (3, 7)))
+
+
 def test_single_key_and_singleton_batches_mine_nothing():
     empty = mine_triplets([_key(3)] * 5, 64, Rng(0, ("mine",)))
-    assert empty.triples.shape == (0, 3)
+    assert empty.flat.shape == (2, 0) and empty.triples.shape == (0, 3)
     loss, grad = triplet_loss(np.ones((5, 2)), empty, 0.2)
     assert loss == 0.0 and np.array_equal(grad, np.zeros((5, 2)))
     lone = mine_triplets([_key(1), _key(2)], 64, Rng(0, ("mine",)))
@@ -252,7 +267,7 @@ def test_hand_built_triplet_sets_match_reference(name, reduction):
     t = np.array(HAND_BUILT[name], dtype=np.int64)
     emb = np.random.default_rng(len(name)).normal(0.0, 1.0, (int(t.max()) + 1, 3))
     for margin in (0.0, 0.5, 4.0):
-        _check_loss(emb, TripletSet(t), margin, reduction)
+        _check_loss(emb, TripletSet.of(t, len(emb)), margin, reduction)
 
 
 # batch codes by key count, mined at the trainer's cap of 64: its default
@@ -271,6 +286,6 @@ def test_benchmark_shaped_batches_match_reference(n_keys, reduction):
     gen = np.random.default_rng(n_keys)
     keys = [_key(code) for code in gen.permutation(BATCH_CODES[n_keys])]
     got = mine_triplets(keys, 64, Rng(n_keys, ("mine",)))
-    assert np.array_equal(got.triples, _reference_mine(keys, 64, Rng(n_keys, ("mine",))).triples)
+    assert np.array_equal(got.flat, _reference_mine(keys, 64, Rng(n_keys, ("mine",))).flat)
     emb = np.maximum(gen.normal(0.0, 1.0, (len(keys), 16)), 0.0)  # 16-wide, relu
     _check_loss(emb, got, 0.2, reduction)
