@@ -148,11 +148,11 @@ def _mining_plan(code_bytes: bytes, cap: int) -> _MiningPlan:
     width = min(cap, int(count.max(initial=0)))
     runs = []  # [pair count, or None for an uncapped key; anchors]
     for c, k in zip(count.tolist(), m.tolist()):
-        c = c if c > cap else None
-        if runs and runs[-1][0] == c:
+        drawn = c if c > cap else None
+        if runs and runs[-1][0] == drawn:
             runs[-1][1] += k
         else:
-            runs.append([c, k])
+            runs.append([drawn, k])
     rows = np.broadcast_to(np.arange(width), (b, width))  # read-only
     blocks = tuple(rows[:k] if c is None else (c, (k, cap)) for c, k in runs) or (
         rows[:0],)  # grid (0, 0)
