@@ -37,6 +37,7 @@ KNOWN_GROUP_COLUMNS = ("gender", "age_group", "race")
 AU_MIN, AU_MAX = 0.0, 5.0
 DEFAULT_THRESHOLD = 2.5  # binarizes an AU that no threshold is given for
 _SAVE_CELLS = 1 << 15  # cells formatted at a time, so save holds few cell strings
+_DIGIT_CELLS = 1 << 11  # cells _digit_rows formats at a time: its arrays stay small and in cache
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
@@ -483,9 +484,11 @@ def save_dataset(
     The bytes are those csv.writer writes for repr of each number and the
     text cells, formatted _SAVE_CELLS cells at a time. Integer cells take
     repr once per distinct value in a block; a float row whose every cell is
-    a proven short decimal is written from integer digits (_decimal_rows),
-    and any other row, such as one with 6e-05 or a full-precision float,
-    with repr."""
+    a proven short decimal is written from integer digits (_decimal_rows).
+    In any other row, a full-precision cell in [1e-4, 1e14) is written from
+    its proven 16 or 17 shortest digits (_digit_rows), and the rest, such as
+    6e-05, 0.25 or nan, with repr. An extra column must hold one value per
+    row."""
     group_cols = list(dataset.attribute_levels)
     binarized = [j for j, au in enumerate(dataset.au_ids) if au in dataset.binarized]
     header = ["id"] + list(dataset.au_ids)
@@ -495,8 +498,9 @@ def save_dataset(
     extra = dict(extra_columns or {})
     header += list(extra)
     for col, values in extra.items():
-        if len(values) < len(dataset):
-            raise LengthMismatch(f"extra column {col!r} has {len(values)} values")
+        if len(values) != len(dataset):
+            raise LengthMismatch(f"extra column {col!r} has {len(values)} values "
+                                 f"for {len(dataset)} rows")
 
     # each level quoted once, as group_values gives it, then indexed by code
     levels = {g: np.array([_csv_text(v) for v in np.asarray(dataset.group_levels(g)).tolist()],
@@ -530,10 +534,9 @@ def _int_columns(block: np.ndarray) -> list[list[str]]:
 
 def _decimal_rows(block: np.ndarray) -> list[list[str]]:
     """A float64 block's cells as save_dataset's columns: one column of row
-    texts, each ",".join(map(repr, row)), built from integer digits in one
-    vectorized pass for the rows whose every cell is proven to print as a
-    short decimal; repr per cell for the other rows, and per column when no
-    row qualifies.
+    texts, each ",".join(map(repr, row)). The rows whose every cell is
+    proven to print as a short decimal are built from integer digits in one
+    vectorized pass; the other rows go to _digit_rows.
 
     A cell x qualifies when m = rint(|x| * 10**9) is below 10**15, m / 10**9
     == |x|, and |x| >= 1e-4 or x == 0. The division is correctly rounded, so
@@ -543,12 +546,14 @@ def _decimal_rows(block: np.ndarray) -> list[list[str]]:
     signbit(x), with its trailing zeros stripped down to one fraction digit.
     The block is written with the fewest fraction digits k >= 1 at which
     every cell of a qualifying row passes the same test, m / 10**k == |x|."""
+    if block.dtype != np.float64 or not block.size:
+        return [list(map(repr, col)) for col in block.T.tolist()]
     size = np.abs(block)
     size = np.where(size < 1e15, size, np.inf)  # NaN fails too, and nothing overflows
     m = np.rint(size * 1e9)
     rows_ok = ((m < 1e15) & (m / 1e9 == size) & ((size >= 1e-4) | (block == 0))).all(axis=1)
-    if block.dtype != np.float64 or not block.size or not rows_ok.any():
-        return [list(map(repr, col)) for col in block.T.tolist()]
+    if not rows_ok.any():
+        return [_digit_rows(block)]
     size = np.where(rows_ok[:, None], size, 0.0)
     for k in range(1, 10):  # ends by k = 9, where every cell left is exact
         m = np.rint(size * 10.0**k)
@@ -577,9 +582,117 @@ def _decimal_rows(block: np.ndarray) -> list[list[str]]:
         chars[..., j] = digit + ord("0")
     keep[..., 1 + whole] = True
     segments = chars[keep].tobytes().decode("ascii").split("\n")[1:]
-    for i, row in zip(np.flatnonzero(~rows_ok).tolist(), block[~rows_ok].tolist()):
-        segments[i] = ",".join(map(repr, row))
+    for i, text in zip(np.flatnonzero(~rows_ok).tolist(), _digit_rows(block[~rows_ok])):
+        segments[i] = text
     return [segments]
+
+
+# _digit_rows' cell grid: separator, sign, the '%s' of a cell repr writes,
+# '0.000', then 17 digit columns with a point column after each of the first 16
+_GRID = np.frombuffer(b",-%s0.000" + b"0." * 16 + b"0", dtype=np.uint8)
+_POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
+_DIGITS4 = (np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(
+    np.uint8).view(np.uint32).ravel()  # the 4 digit characters of 0..9999 as one word
+
+
+def _grid_keeps() -> np.ndarray:
+    """The grid columns a cell keeps: row 2 * (e + 4) + 17 - n for a cell of
+    n digits whose first has decimal exponent e in [-4, 13]; row 36 for a
+    cell repr writes. The sign column is set per cell."""
+    keeps = np.zeros((37, _GRID.size), dtype=bool)
+    keeps[:, 0] = True
+    for e in range(-4, 14):
+        for n in (16, 17):
+            row = keeps[2 * (e + 4) + 17 - n]
+            row[9:9 + 2 * n:2] = True
+            if e < 0:
+                row[4:5 - e] = True  # '0.' and -e-1 zeros
+            else:
+                row[10 + 2 * e] = True  # the point after digit e
+    keeps[36, 2:4] = True
+    return keeps
+
+
+_KEEPS = _grid_keeps()
+
+
+def _digit_rows(block: np.ndarray) -> list[str]:
+    """A float64 block's row texts, each ",".join(map(repr, row)), with a
+    cell written from digits proven to be repr's where it can be, and by
+    repr where it cannot.
+
+    Take a finite x with 1e-4 <= |x| < 1e14. Scale it by the exact double
+    10**k so that N = |x| * 10**k is in [10**16, 10**17). Dekker's product
+    gives N exactly as hi + lo, with hi an integer and |lo| <= 8, and the
+    half-ulp h = ulp(x) / 2 * 10**k is exact too. The nearest decimal of 17,
+    16 or 15 digits is D * d for d = 1, 10, 100, with D found from
+    divmod(hi, d) and exact comparisons of lo. It rounds to x iff
+    |D * d - N| < h: a midpoint between doubles here has over 17
+    significant digits, so none lies exactly h away. The 17-digit one
+    always rounds to x, since h > 0.5. repr gives the shortest decimal that
+    rounds to x, the nearest N of that length, so x is written with the
+    16-digit D if it rounds to x and the 17-digit one if not; neither then
+    ends in 0. repr writes x when a 15-digit D rounds to x (a shorter
+    decimal exists; this takes every power of two in the range, whose
+    lower neighbour is nearer than h), when N / d is half an integer for
+    some d (a tie), when hi is within 64 of 10**16 or 10**17 (where k may
+    be off by one), and for 0, nan, inf and any size outside [1e-4, 1e14)."""
+    step = max(1, _DIGIT_CELLS // block.shape[1])
+    texts = []
+    for lo in range(0, len(block), step):
+        texts += _digit_chunk(block[lo:lo + step])
+    return texts
+
+
+def _digit_chunk(block: np.ndarray) -> list[str]:
+    """_digit_rows of a block of at most a few thousand cells."""
+    rows, cols = block.shape
+    x = block.ravel()
+    a = np.abs(x)
+    fits = (a >= 1e-4) & (a < 1e14)
+    a = np.where(fits, a, 1.5)
+    k = 16 - np.floor(np.log10(a)).astype(np.int64)  # off by one at worst
+    hi = a * _POW10[k]
+    k += (hi < 1e16).astype(np.int64) - (hi >= 1e17)
+    p = _POW10[k]
+    hi = a * p
+    t = a * 134217729.0  # Veltkamp's split into 26-bit halves, then Dekker's product
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    t = p * 134217729.0
+    p_hi = t - (t - p)
+    p_lo = p - p_hi
+    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    h = np.spacing(a) * 0.5 * p
+    whole = hi.astype(np.int64)
+    q16, r16 = np.divmod(whole, 10)
+    q15, r15 = np.divmod(q16, 10)
+    s16 = lo + r16  # N - 10 * q16, exact: a multiple of N's last bit, below 32
+    s15 = lo + (10 * r15 + r16)  # N - 100 * q15, exact: below 128
+    up16 = (s16 > 5).astype(np.int64) + (s16 > 15) - (s16 < -5)
+    d16 = np.abs(s16 - 10 * up16) < h
+    d15 = np.abs(s15 - np.where(s15 > 50, 100.0, 0.0)) < h
+    tie = ((np.abs(lo - np.rint(lo)) == 0.5) | (s16 == 5) | (s16 == 15) | (s16 == -5)
+           | (s15 == 50))
+    slow = ~fits | d15 | tie | (hi <= 1e16 + 64) | (hi >= 1e17 - 64)
+    value = np.where(d16, 10 * (q16 + up16), whole + np.rint(lo).astype(np.int64))
+    lead, rest = np.divmod(value, 10**16)
+    groups = np.empty((x.size, 4), dtype=np.int64)
+    for j in range(3):
+        groups[:, j], rest = np.divmod(rest, 10**(12 - 4 * j))
+    groups[:, 3] = rest
+    chars = np.empty((rows, cols, _GRID.size), dtype=np.uint8)
+    chars[:] = _GRID
+    chars[:, 0, 0] = ord("\n")  # so the text splits into rows
+    chars = chars.reshape(x.size, _GRID.size)
+    chars[:, 9] = lead + ord("0")
+    chars[:, 11::2] = _DIGITS4[groups].view(np.uint8)
+    keep = np.take(_KEEPS, np.where(slow, 36, 2 * (20 - k) + d16), axis=0)
+    keep[:, 1] = np.signbit(x) & ~slow
+    text = chars.ravel().compress(keep.ravel()).tobytes().decode("ascii")
+    if slow.any():  # no digit text holds a '%'
+        text %= tuple(map(repr, x[slow].tolist()))
+    return text.split("\n")[1:]
 
 
 def _csv_text(cell: str) -> str:

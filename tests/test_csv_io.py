@@ -13,9 +13,11 @@
   input errors are typed;
 - a plain file, which numpy's text reader reads without csv.reader, loads
   exactly as its quoted twin does through csv.reader;
-- save_dataset's digit writer gives repr's text for every float block, and
-  writes from digits exactly the rows whose every cell repr prints as a
-  decimal of at most 9 fraction digits below 1e6 in size;
+- save_dataset's digit writer gives repr's text for every float block. It
+  writes from digits the rows whose every cell repr prints as a decimal of
+  at most 9 fraction digits below 1e6 in size, and in the other rows the
+  cells in [1e-4, 1e14) whose shortest decimal has 16 or 17 digits, but for
+  ties and the two ends; repr writes exactly the cells left;
 - save_dataset's traced peak memory does not grow with the row count;
 - load_dataset's label, group and split columns, converted once per
   distinct cell, equal the per-cell conversion kept here as the
@@ -25,10 +27,12 @@
 import csv
 import io
 import json
+import math
 import os
 import tempfile
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -286,6 +290,8 @@ def test_field_over_the_csv_limit_exits_1_naming_its_row(tmp_path, capsys, comma
     (lambda: _dataset().with_labels([0]), LengthMismatch),
     (lambda: save_dataset(_dataset(), os.devnull, extra_columns={"x": [1]}),
      LengthMismatch),
+    (lambda: save_dataset(_dataset(), os.devnull, extra_columns={"x": [1, 2, 3, 4, 5]}),
+     LengthMismatch),
 ])
 def test_data_layer_input_errors_are_typed(call, error):
     with pytest.raises(error) as info:
@@ -523,8 +529,8 @@ def test_per_distinct_load_gives_the_per_cell_columns(table, quoted):
 
 
 def _written(block):
-    """The row texts _decimal_rows gives for block, and how many rows it
-    wrote from digits: the rows for which it called repr on no cell."""
+    """The row texts _decimal_rows gives for block, and the cells it called
+    repr on, in call order."""
     calls = []
 
     def spy(value):
@@ -533,7 +539,38 @@ def _written(block):
 
     with mock.patch.object(data, "repr", spy, create=True):
         columns = data._decimal_rows(block)
-    return [",".join(row) for row in zip(*columns)], len(block) - len(calls) // block.shape[1]
+    return [",".join(row) for row in zip(*columns)], calls
+
+
+def _bits(values) -> list[int]:
+    """values' bit patterns, so that nan and -0.0 compare exactly."""
+    return np.array(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def _falls_back(x: float) -> bool:
+    """x, in a row that is not all short decimals, is written by repr: it is
+    not finite, 0, a power of two or outside [1e-4, 1e14) in size; or, with
+    N = |x| * 10**k exactly in [10**16, 10**17), float(N) is within 64 of
+    either end, repr(x) has at most 15 significant digits, or N, N / 10 or
+    N / 100 is half an odd integer."""
+    a = abs(x)
+    if not 1e-4 <= a < 1e14 or math.frexp(a)[0] == 0.5:
+        return True
+    e = math.floor(math.log10(a))
+    e += (Fraction(10) ** (e + 1) <= Fraction(a)) - (Fraction(10) ** e > Fraction(a))
+    n = Fraction(a) * Fraction(10) ** (16 - e)
+    if not 1e16 + 64 < float(n) < 1e17 - 64:
+        return True
+    if len(repr(a).replace(".", "").strip("0")) <= 15:
+        return True
+    return any((2 * n / d).denominator == 1 and (2 * n / d).numerator % 2 for d in (1, 10, 100))
+
+
+def _repr_cells(block) -> list[float]:
+    """The cells _decimal_rows hands to repr, in row order: the cells that
+    fall back, in the rows that are not all short decimals."""
+    return [x for row in block.tolist() if not all(map(_short, row))
+            for x in row if _falls_back(x)]
 
 
 def _short(x: float) -> bool:
@@ -572,10 +609,10 @@ def float_blocks(draw):
 @given(float_blocks())
 def test_digit_writer_gives_repr(case):
     block, sure = case
-    texts, fast = _written(block)
+    texts, calls = _written(block)
     assert texts == [",".join(map(repr, row)) for row in block.tolist()]
-    assert fast == sum(all(map(_short, row)) for row in block.tolist())
-    assert fast >= sure
+    assert _bits(calls) == _bits(_repr_cells(block))
+    assert sum(all(map(_short, row)) for row in block.tolist()) >= sure
 
 
 @pytest.mark.parametrize("value", EDGES)
@@ -586,15 +623,77 @@ def test_digit_writer_edges(value):
         assert texts == [",".join(map(repr, row)) for row in block.tolist()]
 
 
+def _near(x: float, steps: int) -> float:
+    """The double steps ulps from x > 0 (towards 0 if steps < 0)."""
+    return float((np.array([x]).view(np.int64) + steps).view(np.float64)[0])
+
+
+SIGN = st.sampled_from([1.0, -1.0])
+FULL = st.one_of(st.floats(-1e6, 1e6), st.floats(1e-4, 1e-2),
+                 st.floats(1e-6, 1e18).flatmap(lambda x: SIGN.map(lambda s: s * x)))
+DIGITS15 = st.builds(lambda m, k, s: s * m / 10**k, st.integers(10**14, 10**15 - 1),
+                     st.integers(1, 18), SIGN)
+NEAR_TEN = st.builds(lambda j, steps, s: s * _near(float(f"1e{j}"), steps),
+                     st.integers(-4, 14), st.integers(-70, 70), SIGN)
+POWER_OF_2 = st.builds(lambda e, s: s * 2.0**e, st.integers(-1074, 1023), SIGN)
+TIE = st.builds(lambda c, m, j, s: s * (c + (2 * m + 1) * 2.0**-j), st.integers(1, 9),
+                st.integers(0, 2**12), st.integers(14, 20), SIGN)
+SPECIAL = st.sampled_from([1e-4, -1e-4, _near(1e-4, -1), _near(1e-4, 1), 1e14, -1e14,
+                           _near(1e14, -1), 0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308,
+                           float("inf"), float("-inf"), float("nan")])
+DIGIT_CELL = st.one_of(FULL, DIGITS15, NEAR_TEN, POWER_OF_2, TIE, SPECIAL)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.integers(1, 5).flatmap(
+    lambda c: st.lists(st.lists(DIGIT_CELL, min_size=c, max_size=c), min_size=n, max_size=n))))
+@example([[2 / 3]])  # 16 digits: 0.6666666666666666
+@example([[0.1 + 0.2]])  # 17 digits: 0.30000000000000004
+@example([[-123.456789012345]])  # 15 digits: a shorter decimal, repr
+@example([[1 + 2.0**-16]])  # N = 10000152587890625, N / 10 a tie: repr
+@example([[8 + 7 * 2.0**-16, 8 + 9 * 2.0**-16]])  # N - 10 * (hi // 10) = 15 and -5: repr
+@example([[_near(1e9, -10)]])  # 999999999.9999988, whose log10 rounds up to 9
+@example([[_near(0.1, 1)]])  # N within 64 of 10**16: repr
+@example([[_near(1.0, -1)]])  # N within 64 of 10**17: repr
+@example([[2.0**-13]])  # a power of two: repr
+@example([[_near(1e-4, -1), 1e14]])  # just outside the range: repr
+@example([[0.0, -0.0, 5e-324, float("inf"), float("nan")]])  # repr
+def test_full_precision_cells_are_written_from_proven_digits(rows):
+    """Cells that are not short decimals: the row texts are repr's, and repr
+    is called on exactly the cells of the fallback classes."""
+    block = np.array(rows, dtype=np.float64)
+    texts, calls = _written(block)
+    assert texts == [",".join(map(repr, row)) for row in rows]
+    assert _bits(calls) == _bits(_repr_cells(block))
+
+
+def test_synth_floats_seldom_reach_repr(tmp_path):
+    """Under a tenth of synth's float cells are written by repr, so its
+    full-precision floats do not silently go back to repr (about 6% do,
+    nearly all of them doubles that a decimal of 15 digits rounds to)."""
+    ds = generate(demo_synth_config(7)).dataset
+    floats = []
+
+    def spy(value):
+        if isinstance(value, float):
+            floats.append(value)
+        return repr(value)
+
+    with mock.patch.object(data, "repr", spy, create=True):
+        save_dataset(ds, tmp_path / "data.csv")
+    assert len(floats) < 0.1 * (ds.intensity.size + ds.features.size), len(floats)
+
+
 @pytest.mark.parametrize("case", ["bench", "blocks", "one_row_block"])
 def test_bench_shaped_file_saves_as_csv_writer_does(tmp_path, case):
     """2,000 rows in the benchmark's %.4f intensity and %.5f feature format,
     one feature cell below 1e-4, loaded, binarized and saved: the bytes
-    csv.writer gives, with only that row's features written by repr. With
+    csv.writer gives, with repr called on that row's features only. With
     blocks, 4,000 rows span at least 3 of save's blocks, every third row's
-    features are full precision (so repr writes them too), an id in the
-    third block needs quotes and an extra column is saved; one_row_block is
-    blocks with a row count that leaves save's last block one row."""
+    features are full precision (so repr writes the few of them that fall
+    back), an id in the third block needs quotes and an extra column is
+    saved; one_row_block is blocks with a row count that leaves save's last
+    block one row."""
     gen = np.random.default_rng(15)
     blocks, aus = case != "bench", ["AU4", "AU5", "AU7", "AU23"]
     step = data._SAVE_CELLS // 25  # the columns saved with blocks
@@ -602,7 +701,6 @@ def test_bench_shaped_file_saves_as_csv_writer_does(tmp_path, case):
     intensity = np.clip(gen.normal(2.0, 1.2, (n, 4)), 0.0, 5.0)
     features = gen.normal(0.0, 1.5, (n, 12))
     features[7, 3], features[8, 0] = 6e-05, -0.0
-    slow = sorted({7, *range(0, n, 3)}) if blocks else [7]
     lines = [",".join(["id", *aus, "label", "gender", *(f"f{j}" for j in range(12))])]
     for i in range(n):
         cell = repr if blocks and i % 3 == 0 else "{:.5f}".format
@@ -625,7 +723,8 @@ def test_bench_shaped_file_saves_as_csv_writer_does(tmp_path, case):
     with mock.patch.object(data, "repr", spy, create=True):
         save_dataset(ds, out, extra_columns=extra)
     assert out.read_bytes() == reference_csv(ds, "label", extra)
-    assert floats == ds.features[slow].ravel().tolist()
+    assert _repr_cells(ds.intensity) == []
+    assert _bits(floats) == _bits(_repr_cells(ds.features))
     if blocks:
         columns = out.read_bytes().partition(b"\r\n")[0].count(b",") + 1
         assert columns == 25 and n > 2 * step  # at least 3 blocks
